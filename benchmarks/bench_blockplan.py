@@ -52,9 +52,9 @@ UARCHES = ("ivybridge", "haswell", "skylake")
 
 
 def _golden_texts():
-    # Application blocks only: the "lanes" families grafted onto the
-    # fixture benchmark their own layer (bench_lanes.py); this bench
-    # keeps measuring the dispatch loop on the original workload.
+    # Application blocks only: the synthetic shape families grafted
+    # onto the fixture (application "lanes") are left out, so this
+    # bench keeps measuring the dispatch loop on the original workload.
     with open(GOLDEN) as fh:
         doc = json.load(fh)
     return [b["text"] for b in doc["blocks"]

@@ -15,7 +15,9 @@ from repro.corpus.dataset import Corpus
 from repro.eval import metrics
 from repro.models.base import CostModel
 from repro.models.ithemal import IthemalModel
-from repro.profiler.harness import BasicBlockProfiler, ProfilerConfig
+from repro.profiler.harness import (BasicBlockProfiler, CorpusProfile,
+                                    ProfilerConfig,
+                                    profile_records_detailed)
 from repro.telemetry import core as telemetry
 from repro.uarch.machine import Machine
 
@@ -97,68 +99,6 @@ class ValidationResult:
         return ok / len(self.rows)
 
 
-@dataclass
-class CorpusProfile:
-    """Ground-truth measurements plus the accept/drop funnel.
-
-    ``funnel`` is the run-report analogue of the paper's Table I:
-    ``accepted`` plus every ``dropped`` count sums to ``total`` (the
-    corpus size), so no block silently disappears from the pipeline.
-
-    ``info`` carries purely informational per-run telemetry — one
-    count per key of ``ProfileResult.extra`` (currently
-    ``fastpath_extrapolated``: blocks whose measurement used the
-    steady-state fast path, ``blockplan_compiled``: blocks executed
-    through compiled block plans, ``lanes_vectorized``: blocks whose
-    result came out of a certified batch lane, and
-    ``triage_revalidated``: blocks whose journaled cached measurement
-    was replayed by the triage surrogate instead of re-simulated).
-    It is kept *outside* the
-    funnel so the funnel — and therefore accepted/dropped accounting —
-    stays byte-identical whichever switches are on or off.
-    """
-
-    throughputs: Dict[int, float]
-    funnel: Dict
-    info: Dict = field(default_factory=dict)
-
-    @staticmethod
-    def empty_funnel(total: int = 0) -> Dict:
-        return {"total": total, "accepted": 0, "dropped": {}}
-
-
-def profile_records_detailed(profiler: BasicBlockProfiler,
-                             records) -> CorpusProfile:
-    """Profile an ordered run of records with one profiler.
-
-    The single accept/drop policy shared by the serial path and every
-    parallel worker (``repro.parallel``), so a sharded run cannot
-    diverge from a serial one by construction.  Routing through
-    ``profile_many`` (rather than per-record ``profile`` calls) lets
-    batch lanes form inside each shard as well as in serial runs.
-    """
-    throughputs: Dict[int, float] = {}
-    funnel = CorpusProfile.empty_funnel()
-    info: Dict[str, int] = {}
-    records = list(records)
-    results = profiler.profile_many([r.block for r in records])
-    for record, result in zip(records, results):
-        funnel["total"] += 1
-        if result.ok and result.throughput > 0:
-            throughputs[record.block_id] = result.throughput
-            funnel["accepted"] += 1
-        else:
-            reason = ("zero_throughput" if result.failure is None
-                      else result.failure.value)
-            funnel["dropped"][reason] = \
-                funnel["dropped"].get(reason, 0) + 1
-        for key, value in result.extra.items():
-            if value:
-                info[key] = info.get(key, 0) + 1
-    return CorpusProfile(throughputs=throughputs, funnel=funnel,
-                         info=info)
-
-
 def profile_corpus_detailed(corpus: Corpus, uarch: str, seed: int = 0,
                             config: Optional[ProfilerConfig] = None
                             ) -> CorpusProfile:
@@ -168,10 +108,6 @@ def profile_corpus_detailed(corpus: Corpus, uarch: str, seed: int = 0,
         profile = profile_records_detailed(profiler, corpus)
         sp.annotate(blocks=profile.funnel["total"],
                     accepted=profile.funnel["accepted"])
-    # Opt-in triage training from this run's journal (no-op unless
-    # $REPRO_TRIAGE armed the stage; see repro.triage.publish_weights).
-    from repro import triage
-    triage.publish_weights(uarch, seed, config)
     return profile
 
 

@@ -19,6 +19,7 @@ The paper's two findings about Ithemal are reproduced structurally:
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -72,7 +73,10 @@ class IthemalModel(CostModel):
         """Train the per-uarch network on measured data."""
         if len(blocks) != len(throughputs):
             raise ValueError("blocks and throughputs differ in length")
-        rng = np.random.default_rng((self.seed, hash(uarch) & 0xFFFF))
+        # CRC-32, not ``hash()``: string hashing is salted per process
+        # by PYTHONHASHSEED, which would make training irreproducible.
+        rng = np.random.default_rng(
+            (self.seed, zlib.crc32(uarch.encode()) & 0xFFFF))
         keep = self._select_training_set(blocks, uarch, rng)
         if len(keep) < 16:
             keep = list(range(len(blocks)))

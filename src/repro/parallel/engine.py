@@ -55,7 +55,9 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
 
 from repro.corpus.dataset import BlockRecord, Corpus
 from repro.corpus import streaming as corpus_streaming
-from repro.profiler.harness import BasicBlockProfiler, ProfilerConfig
+from repro.profiler.harness import (BasicBlockProfiler, CorpusProfile,
+                                    ProfilerConfig,
+                                    profile_records_detailed)
 from repro.profiler.result import FailureReason
 from repro.parallel.shard_cache import ShardCache
 from repro.parallel.sharding import (DEFAULT_SHARD_SIZE, ProfileFolder,
@@ -68,11 +70,6 @@ from repro.telemetry import core as telemetry
 from repro.telemetry import resources
 from repro.telemetry import window
 from repro.uarch.descriptor import MachineDescriptor
-
-# ``repro.eval.validation`` (``CorpusProfile``,
-# ``profile_records_detailed``) is imported lazily at the call sites:
-# ``repro.eval`` imports the pipeline, which imports this package, so
-# a module-level import would make import order matter.
 
 #: Ceiling on how long one shard may take in a worker before the
 #: parent gives up on it and falls back to the serial retry
@@ -167,7 +164,6 @@ def profile_shard_worker(descriptor: MachineDescriptor,
                          index: int, records: tuple
                          ) -> Tuple[int, CorpusProfile]:
     """Profile one shard in a worker process (must stay picklable)."""
-    from repro.eval.validation import profile_records_detailed
     _maybe_worker_chaos(records)
     hub = telemetry.get_telemetry()
     traced = hub.enabled and descriptor.trace is not None
@@ -249,7 +245,6 @@ def _export_decode_delta() -> None:
 
 def _worker_failure_profile(shard: Shard) -> CorpusProfile:
     """Account a whole shard under the ``worker_failure`` bucket."""
-    from repro.eval.validation import CorpusProfile
     return CorpusProfile(
         throughputs={},
         funnel={"total": len(shard), "accepted": 0,
@@ -305,7 +300,6 @@ _STITCH_EXCLUDED = frozenset({
     "profiler.blocks_total", "profiler.blocks_accepted",
     "profiler.fastpath_extrapolated", "profiler.blockplan_compiled",
     "profiler.chaos_block_poison", "profiler.step_budget_exceeded",
-    "profiler.lanes_vectorized", "profiler.triage_revalidated",
 })
 
 
@@ -446,7 +440,6 @@ def profile_corpus_sharded(corpus: Corpus, uarch: str, seed: int = 0,
     suite proves it), but shards fold into the merged profile as they
     complete instead of accumulating until the end.
     """
-    from repro.eval.validation import profile_records_detailed
     jobs = default_jobs() if jobs is None else max(1, jobs)
     if shard_timeout is None:
         shard_timeout = default_shard_timeout()
@@ -623,12 +616,6 @@ def profile_corpus_sharded(corpus: Corpus, uarch: str, seed: int = 0,
     merged = merge_profiles(
         [(by_index[index], profile)
          for index, profile in results.items()])
-    # Triage training (opt-in, parent-side): workers appended their
-    # shards' fresh measurements to the triage journal; fold them into
-    # a refreshed surrogate so the *next* run routes sharper.  A no-op
-    # unless $REPRO_TRIAGE armed the stage; degrades on any failure.
-    from repro import triage
-    triage.publish_weights(uarch, seed, config)
     if aggregator is not None:
         series = aggregator.finish()
         window.deposit_run(label, series)
@@ -679,7 +666,7 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
                             total_blocks: Optional[int] = None,
                             total_shards: Optional[int] = None,
                             on_shard: Optional[Callable[[Shard,
-                                                         "CorpusProfile"],
+                                                         CorpusProfile],
                                                         None]] = None
                             ) -> CorpusProfile:
     """Profile a lazily generated corpus in constant memory.
@@ -715,7 +702,6 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
     order — the hook streaming writers (``repro corpus --stream``)
     attach to emit rows incrementally.
     """
-    from repro.eval.validation import profile_records_detailed
     jobs = default_jobs() if jobs is None else max(1, jobs)
     if shard_timeout is None:
         shard_timeout = default_shard_timeout()
@@ -833,8 +819,6 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
     if stats is not None:
         stats.update(run_stats)
     merged = folder.result()
-    from repro import triage
-    triage.publish_weights(uarch, seed, config)
     if aggregator is not None:
         series = aggregator.finish()
         window.deposit_run(label, series)
@@ -863,7 +847,6 @@ def _stream_serial(shard_iter: Iterator[Shard],
     config), so the reset changes no bytes while keeping retained
     state bounded by the epoch instead of the corpus length.
     """
-    from repro.eval.validation import profile_records_detailed
     from repro.runtime.plan import clear_plan_cache
     epoch = corpus_streaming.stream_epoch_blocks()
     profiler = None
@@ -1098,7 +1081,6 @@ def _load_verified(cache: Optional[ShardCache], shard: Shard,
 def _serial_shard(descriptor: MachineDescriptor,
                   config: Optional[ProfilerConfig],
                   shard: Shard) -> CorpusProfile:
-    from repro.eval.validation import profile_records_detailed
     profiler = BasicBlockProfiler(descriptor.build(), config)
     return profile_records_detailed(profiler, shard.records)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.errors import (ArithmeticFault, ChaosFault, MemoryFault,
                           StepBudgetExceeded,
@@ -84,11 +84,6 @@ class BasicBlockProfiler:
         #: Most recent block's environment, kept so the page-cache
         #: stats it accumulated can be drained after the block.
         self._last_env: Optional[Environment] = None
-        #: When a lane representative is being profiled,
-        #: ``repro.profiler.lanebatch`` installs a ``LaneCapture``
-        #: here and ``_profile_fresh`` records the mapping witness
-        #: and per-factor runs into it.  ``None`` = zero overhead.
-        self._lane_capture = None
         global _LAST_PROFILER
         _LAST_PROFILER = weakref.ref(self)
 
@@ -153,10 +148,6 @@ class BasicBlockProfiler:
             telemetry.count("profiler.blockplan_compiled")
         if result.extra.get("chaos_block_poison"):
             telemetry.count("profiler.chaos_block_poison")
-        if result.extra.get("lanes_vectorized"):
-            telemetry.count("profiler.lanes_vectorized")
-        if result.extra.get("triage_revalidated"):
-            telemetry.count("profiler.triage_revalidated")
         if result.extra.get("step_budget_exceeded"):
             telemetry.count("profiler.step_budget_exceeded")
 
@@ -243,15 +234,6 @@ class BasicBlockProfiler:
         mapping = map_pages(env, block, unroll=plan.max_factor,
                             max_faults=self.config.max_faults,
                             enable_mapping=self.config.mapping_enabled)
-        if self._lane_capture is not None \
-                and mapping.trace is not None:
-            # Signature-periodicity witness of the mapping run, taken
-            # *before* Machine.run can lazily stamp event periodicity
-            # onto the same trace — the lane runner predicts exactly
-            # this (see repro.profiler.lanebatch).
-            self._lane_capture.witness = \
-                (mapping.trace.steady_from, mapping.trace.period) \
-                if mapping.trace.period else None
         if not mapping.success:
             return ProfileResult(text, uarch, failure=mapping.failure,
                                  num_faults=mapping.num_faults,
@@ -291,12 +273,6 @@ class BasicBlockProfiler:
                         env.memory, reps=self.config.acceptance.reps,
                         checkpoint_unroll=unroll)
                     pending[plan.max_factor] = big
-                    if self._lane_capture is not None:
-                        # Captured at creation: if the small factor
-                        # fails acceptance the pending entry is never
-                        # popped, but lane clones may still pass it
-                        # and need the large factor to replay.
-                        self._lane_capture.runs[plan.max_factor] = big
                     if big.checkpoint is not None:
                         run = big.checkpoint
                     else:
@@ -330,8 +306,6 @@ class BasicBlockProfiler:
                 return ProfileResult(text, uarch,
                                      failure=FailureReason.UNSUPPORTED,
                                      detail=str(exc))
-            if self._lane_capture is not None:
-                self._lane_capture.runs[unroll] = run
             if run.fastpath.get("extrapolated"):
                 extrapolated = True
             cycles, failure, clean = \
@@ -374,28 +348,10 @@ class BasicBlockProfiler:
 
     def profile_many(self, blocks: Iterable[Union[BasicBlock, str]]
                      ) -> List[ProfileResult]:
-        """Profile a corpus; order of results matches the input.
-
-        When batch lanes are active (``repro.runtime.lanes``), a
-        pre-pass seeds the dedup memo with certified lane-clone
-        results; the scalar loop below is unchanged either way and
-        simply finds those results as memo hits.  When triage is
-        active (``repro.triage``, opt-in), an earlier pre-pass seeds
-        the memo with revalidated cached measurements — blocks it
-        cannot vouch for fall through to lanes and the scalar loop
-        unchanged — and freshly measured blocks are journaled after
-        the loop for future revalidation.
-        """
-        from repro import triage
-        from repro.profiler import lanebatch
+        """Profile a corpus; order of results matches the input."""
         with telemetry.span("profiler.profile_many",
                             uarch=self.machine.name) as sp:
-            items = [parse_block(b) if isinstance(b, str) else b
-                     for b in blocks]
-            triage.prepare_triage(self, items)
-            lanebatch.prepare_lanes(self, items)
-            results = [self.profile(block) for block in items]
-            triage.absorb_results(self, items, results)
+            results = [self.profile(block) for block in blocks]
             sp.annotate(blocks=len(results),
                         accepted=sum(1 for r in results if r.ok),
                         fastpath_extrapolated=sum(
@@ -403,14 +359,65 @@ class BasicBlockProfiler:
                             if r.extra.get("fastpath_extrapolated")),
                         blockplan_compiled=sum(
                             1 for r in results
-                            if r.extra.get("blockplan_compiled")),
-                        lanes_vectorized=sum(
-                            1 for r in results
-                            if r.extra.get("lanes_vectorized")),
-                        triage_revalidated=sum(
-                            1 for r in results
-                            if r.extra.get("triage_revalidated")))
+                            if r.extra.get("blockplan_compiled")))
         return results
+
+
+@dataclass
+class CorpusProfile:
+    """Ground-truth measurements plus the accept/drop funnel.
+
+    ``funnel`` is the run-report analogue of the paper's Table I:
+    ``accepted`` plus every ``dropped`` count sums to ``total`` (the
+    corpus size), so no block silently disappears from the pipeline.
+
+    ``info`` carries purely informational per-run telemetry — one
+    count per key of ``ProfileResult.extra`` (``fastpath_extrapolated``:
+    blocks whose measurement used the steady-state fast path,
+    ``blockplan_compiled``: blocks executed through compiled block
+    plans, and the resilience tallies ``chaos_block_poison`` /
+    ``step_budget_exceeded``).  It is kept *outside* the funnel so the
+    funnel — and therefore accepted/dropped accounting — stays
+    byte-identical whichever switches are on or off.
+    """
+
+    throughputs: Dict[int, float]
+    funnel: Dict
+    info: Dict = field(default_factory=dict)
+
+    @staticmethod
+    def empty_funnel(total: int = 0) -> Dict:
+        return {"total": total, "accepted": 0, "dropped": {}}
+
+
+def profile_records_detailed(profiler: BasicBlockProfiler,
+                             records) -> CorpusProfile:
+    """Profile an ordered run of records with one profiler.
+
+    The single accept/drop policy shared by the serial path and every
+    parallel worker (``repro.parallel``), so a sharded run cannot
+    diverge from a serial one by construction.
+    """
+    throughputs: Dict[int, float] = {}
+    funnel = CorpusProfile.empty_funnel()
+    info: Dict[str, int] = {}
+    records = list(records)
+    results = profiler.profile_many([r.block for r in records])
+    for record, result in zip(records, results):
+        funnel["total"] += 1
+        if result.ok and result.throughput > 0:
+            throughputs[record.block_id] = result.throughput
+            funnel["accepted"] += 1
+        else:
+            reason = ("zero_throughput" if result.failure is None
+                      else result.failure.value)
+            funnel["dropped"][reason] = \
+                funnel["dropped"].get(reason, 0) + 1
+        for key, value in result.extra.items():
+            if value:
+                info[key] = info.get(key, 0) + 1
+    return CorpusProfile(throughputs=throughputs, funnel=funnel,
+                         info=info)
 
 
 #: Weak reference to the most recently constructed profiler, so the

@@ -1,5 +1,9 @@
 """The learned model: training protocol and behaviour."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,9 @@ from repro.models.features import FEATURE_DIM, block_features
 from repro.models.training import MlpRegressor
 from repro.profiler import BasicBlockProfiler
 from repro.uarch import Machine
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..",
+                                   "src"))
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +82,34 @@ class TestTrainingProtocol:
         a = model.predict_safe(blocks[0], "haswell").throughput
         b = model.predict_safe(blocks[0], "haswell").throughput
         assert a == b
+
+    def test_training_independent_of_hash_seed(self):
+        # The training-set RNG is seeded per uarch; string hashing is
+        # salted by PYTHONHASHSEED, so two interpreters must still fit
+        # identical networks.  Skylake plus vector-heavy blocks makes
+        # both RNG-driven subsampling rules fire.
+        script = (
+            "from repro.corpus import build_application\n"
+            "from repro.models import IthemalModel, TrainingConfig\n"
+            "blocks = [r.block for app in ('openblas', 'llvm')\n"
+            "          for r in build_application(app, count=60, seed=5)\n"
+            "          if r.block.is_supported]\n"
+            "ys = [1.0 + len(b) * 0.5 for b in blocks]\n"
+            "model = IthemalModel(TrainingConfig(epochs=5))\n"
+            "model.fit(blocks, ys, 'skylake')\n"
+            "print([model.predict(b, 'skylake').throughput\n"
+            "       for b in blocks])\n")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=SRC + os.pathsep
+                       + os.environ.get("PYTHONPATH", ""))
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=300)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestFeatures:
