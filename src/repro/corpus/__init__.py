@@ -12,8 +12,7 @@ from repro.corpus.sampling import (block_category, project_validation,
                                    sample_corpus, sample_stream,
                                    stratum, stratum_counts)
 from repro.corpus.streaming import (corpus_spec_digest, default_prefetch,
-                                    iter_application, iter_corpus,
-                                    stream_enabled)
+                                    iter_application, iter_corpus)
 from repro.corpus.synthesis import BlockSynthesizer
 from repro.corpus.tracing import assign_frequencies
 
@@ -27,7 +26,7 @@ __all__ = [
     "zero_idiom_block",
     # streaming generation + stratified sampling
     "iter_application", "iter_corpus", "corpus_spec_digest",
-    "stream_enabled", "default_prefetch",
+    "default_prefetch",
     "block_category", "stratum", "stratum_counts",
     "sample_stream", "sample_corpus", "project_validation",
 ]

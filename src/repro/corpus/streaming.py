@@ -24,10 +24,14 @@ cannot be made lazy is each application's frequency table —
 so peak memory is O(one app's frequency ints + in-flight shards), not
 O(corpus).
 
-``REPRO_STREAM=1`` (or the CLI's ``--stream``) routes
-``profile_corpus_sharded`` through the streamed fold path globally;
+The profiling engine (:func:`repro.parallel.profile_corpus_streamed`)
+consumes such streams directly — ``repro corpus --stream`` feeds it
+the generator and never materialises the corpus — and a materialised
+corpus runs through the same engine as a finite stream.
 ``REPRO_STREAM_PREFETCH`` bounds how many shards may be in flight
-(generated or profiled but not yet folded) per worker.
+(generated or profiled but not yet folded) per worker, and
+``REPRO_STREAM_EPOCH`` how many blocks each profiling process may
+retain dedup/plan state for.
 """
 
 from __future__ import annotations
@@ -41,28 +45,21 @@ from repro.corpus.dataset import (DEFAULT_APPS, BlockRecord, get_spec,
 from repro.corpus.synthesis import BlockSynthesizer
 from repro.corpus.tracing import assign_frequencies
 
-__all__ = ["iter_application", "iter_corpus", "stream_enabled",
-           "default_prefetch", "stream_epoch_blocks",
-           "corpus_spec_digest", "DEFAULT_PREFETCH_PER_JOB",
-           "DEFAULT_EPOCH_BLOCKS"]
+__all__ = ["iter_application", "iter_corpus", "default_prefetch",
+           "stream_epoch_blocks", "corpus_spec_digest",
+           "DEFAULT_PREFETCH_PER_JOB", "DEFAULT_EPOCH_BLOCKS"]
 
 #: Shards that may be in flight (submitted to the pool, or completed
 #: but not yet foldable because an earlier index is still running) per
 #: worker.  2 keeps every worker busy while the parent folds.
 DEFAULT_PREFETCH_PER_JOB = 2
 
-#: Blocks a streamed profiler may retain dedup/plan state for before
+#: Blocks a profiler may retain dedup/plan state for before
 #: the engine drops and rebuilds it.  Profile results and compiled
 #: plans are pure functions of (block text, machine, config), so the
 #: reset never changes bytes — it only bounds the per-run caches that
 #: would otherwise grow linearly with corpus length.
 DEFAULT_EPOCH_BLOCKS = 512
-
-
-def stream_enabled() -> bool:
-    """``REPRO_STREAM=1``: route batch entry points through the
-    streamed fold path (byte-identical output, constant memory)."""
-    return os.environ.get("REPRO_STREAM", "").strip() == "1"
 
 
 def default_prefetch(jobs: int) -> int:
@@ -74,14 +71,13 @@ def default_prefetch(jobs: int) -> int:
 
 
 def stream_epoch_blocks() -> int:
-    """Streamed-mode retained-state bound, in blocks.
+    """The profiling engine's retained-state bound, in blocks.
 
-    Every this-many profiled blocks the streamed engine discards its
-    profiler (whose corpus-level dedup memo grows with every distinct
-    block) and the compiled-plan cache, in the parent for serial runs
-    and inside each pool worker for pooled ones.  ``0`` disables the
-    reset (batch-identical retention).  Tune with
-    ``REPRO_STREAM_EPOCH``.
+    Every this-many profiled blocks the engine discards its profiler
+    (whose corpus-level dedup memo grows with every distinct block)
+    and the compiled-plan cache, in the parent for serial runs and
+    inside each pool worker for pooled ones.  ``0`` disables the
+    reset.  Tune with ``REPRO_STREAM_EPOCH``.
     """
     env = os.environ.get("REPRO_STREAM_EPOCH", "").strip()
     epoch = int(env) if env else DEFAULT_EPOCH_BLOCKS
@@ -136,7 +132,7 @@ def corpus_spec_digest(scale: float, seed: int,
                        shard_size: int = 32) -> str:
     """Stable identity of a generated stream for journal pinning.
 
-    A batch run journals a CRC over every shard digest; a stream of
+    A materialised run journals a CRC over every shard digest; a stream of
     unknown length cannot, so it pins the *generator spec* instead —
     same scale, seed, app list and shard size means the same shards.
     """

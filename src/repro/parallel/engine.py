@@ -1,14 +1,17 @@
-"""The work-sharded profiling engine.
+"""The work-sharded profiling engine: one finite or endless stream.
 
-``profile_corpus_sharded`` is the parallel counterpart of
-``repro.eval.validation.profile_corpus_detailed``: same inputs, same
-output, bit-for-bit — the determinism suite under ``tests/parallel``
-holds it to that.  The corpus is split into deterministic shards
-(:mod:`repro.parallel.sharding`), each shard is profiled by a worker
-that rebuilds its own simulated machine from a picklable
+:func:`profile_corpus_streamed` is the only profiling engine.  It pulls
+deterministic shards (:mod:`repro.parallel.sharding`) from a source
+that may be a lazy record generator, profiles them in-process or in a
+bounded-prefetch worker pool, and folds each result into the merged
+profile in shard-index order.  :func:`profile_corpus_sharded` is its
+finite-stream wrapper for a materialised corpus, and the parallel
+counterpart of ``repro.eval.validation.profile_corpus_detailed``:
+same inputs, same output, bit-for-bit — the determinism suite under
+``tests/parallel`` holds it to that.  Each worker rebuilds its own
+simulated machine from a picklable
 :class:`~repro.uarch.descriptor.MachineDescriptor` (no shared mutable
-simulator state), and the per-shard profiles — funnel buckets
-included — are merged back in canonical order.
+simulator state).
 
 Robustness: a worker that dies (``BrokenProcessPool``) or exceeds the
 per-shard timeout does not poison the run.  The shard is retried
@@ -61,8 +64,8 @@ from repro.profiler.harness import (BasicBlockProfiler, CorpusProfile,
 from repro.profiler.result import FailureReason
 from repro.parallel.shard_cache import ShardCache
 from repro.parallel.sharding import (DEFAULT_SHARD_SIZE, ProfileFolder,
-                                     Shard, merge_profiles, shard_corpus,
-                                     shard_digest, stream_shards)
+                                     Shard, shard_corpus, shard_digest,
+                                     stream_shards)
 from repro.resilience import chaos
 from repro.resilience import policy as resilience
 from repro.resilience.journal import RunJournal
@@ -159,11 +162,31 @@ def _worker_profiler(descriptor: MachineDescriptor,
     return profiler
 
 
+#: Blocks this worker has profiled since it last dropped its retained
+#: state (profilers + compiled plans) — the per-worker epoch counter.
+_WORKER_SINCE_RESET = [0]
+
+
 def profile_shard_worker(descriptor: MachineDescriptor,
                          config: Optional[ProfilerConfig],
                          index: int, records: tuple
                          ) -> Tuple[int, CorpusProfile]:
-    """Profile one shard in a worker process (must stay picklable)."""
+    """Profile one shard in a worker process (must stay picklable).
+
+    Retained state is bounded: every
+    :func:`~repro.corpus.streaming.stream_epoch_blocks` profiled blocks
+    the worker drops its profiler cache and the compiled-plan cache,
+    so its RSS tracks the epoch, not the corpus.  Results and plans
+    are pure functions of (text, machine, config), so the reset
+    changes no bytes.
+    """
+    from repro.runtime.plan import clear_plan_cache
+    epoch = corpus_streaming.stream_epoch_blocks()
+    if epoch and _WORKER_SINCE_RESET[0] >= epoch:
+        _WORKER_PROFILERS.clear()
+        clear_plan_cache()
+        _WORKER_SINCE_RESET[0] = 0
+    _WORKER_SINCE_RESET[0] += len(records)
     _maybe_worker_chaos(records)
     hub = telemetry.get_telemetry()
     traced = hub.enabled and descriptor.trace is not None
@@ -183,34 +206,6 @@ def profile_shard_worker(descriptor: MachineDescriptor,
         telemetry.event("worker.shard_summary", shard=index,
                         counters=counters)
     return index, profile
-
-
-#: Blocks this worker has profiled since it last dropped its retained
-#: state (profilers + compiled plans) — the streamed engine's
-#: per-worker epoch counter.
-_WORKER_STREAM_SINCE = [0]
-
-
-def profile_shard_worker_streamed(descriptor: MachineDescriptor,
-                                  config: Optional[ProfilerConfig],
-                                  index: int, records: tuple
-                                  ) -> Tuple[int, CorpusProfile]:
-    """Streamed-mode worker entry: bounded retained state.
-
-    Identical bytes to :func:`profile_shard_worker` — it *is* that
-    function, behind a per-worker epoch that drops the profiler cache
-    and the compiled-plan cache every
-    :func:`~repro.corpus.streaming.stream_epoch_blocks` profiled
-    blocks, so a worker's RSS tracks the epoch, not the corpus.
-    """
-    from repro.runtime.plan import clear_plan_cache
-    epoch = corpus_streaming.stream_epoch_blocks()
-    if epoch and _WORKER_STREAM_SINCE[0] >= epoch:
-        _WORKER_PROFILERS.clear()
-        clear_plan_cache()
-        _WORKER_STREAM_SINCE[0] = 0
-    _WORKER_STREAM_SINCE[0] += len(records)
-    return profile_shard_worker(descriptor, config, index, records)
 
 
 #: Decode-table cache_info() totals already exported by this worker
@@ -417,214 +412,37 @@ def profile_corpus_sharded(corpus: Corpus, uarch: str, seed: int = 0,
                            worker_fn=None, serial_fn=None,
                            retry: Optional[resilience.RetryPolicy] = None,
                            stats: Optional[Dict] = None,
-                           run_label: Optional[str] = None,
-                           stream: Optional[bool] = None
+                           run_label: Optional[str] = None
                            ) -> CorpusProfile:
-    """Profile a corpus across a worker pool, bit-identical to serial.
+    """Profile a materialised corpus, bit-identical to serial.
 
-    ``jobs=1`` (or a single pending shard) profiles in-process with no
-    pool at all.  ``cache`` enables the v3 shard cache: shards whose
-    digest already has an entry are loaded instead of profiled, and
-    freshly profiled shards are written back atomically.  ``journal``
-    (requires ``cache``) makes the run crash-safe: completed shards
-    are durably journaled with a checksum of their cache bytes, cache
-    hits are verified against the journal on resume, and mismatches
-    are quarantined and re-profiled.  ``stats``, if given, is filled
-    with run accounting (shard counts, cache hits, resumed shards,
-    retries, failures).
-
-    ``stream`` (default: ``$REPRO_STREAM``) routes the run through
-    :func:`profile_corpus_streamed` over the very same shard sequence:
-    the journal identity is unchanged — batch and streamed runs resume
-    each other — and the result is byte-identical (the differential
-    suite proves it), but shards fold into the merged profile as they
-    complete instead of accumulating until the end.
+    A finite stream through :func:`profile_corpus_streamed`: the corpus
+    is cut into shards (or ``shards`` is taken as given), its journal
+    identity is the digest of those shards, and the pool never
+    outnumbers them — so a single shard (the serve daemon's one-block
+    batch) profiles in-process with no pool at all.  ``cache`` enables
+    the v3 shard cache: shards whose digest already has an entry are
+    loaded instead of profiled, and freshly profiled shards are
+    written back atomically.  ``journal`` (requires ``cache``) makes
+    the run crash-safe: completed shards are durably journaled with a
+    checksum of their cache bytes, cache hits are verified against the
+    journal on resume, and mismatches are quarantined and re-profiled.
+    ``stats``, if given, is filled with run accounting (shard counts,
+    cache hits, resumed shards, retries, failures).
     """
-    jobs = default_jobs() if jobs is None else max(1, jobs)
-    if shard_timeout is None:
-        shard_timeout = default_shard_timeout()
     if shards is None:
         shards = shard_corpus(corpus, shard_size)
-    worker_fn = worker_fn or profile_shard_worker
-    retry = retry or resilience.default_retry_policy(seed)
-
-    if stream is None:
-        stream = corpus_streaming.stream_enabled()
-    if stream:
-        return profile_corpus_streamed(
-            iter(shards), uarch, seed=seed, jobs=jobs, config=config,
-            shard_size=shard_size, shard_timeout=shard_timeout,
-            cache=cache,
-            journal=journal,
-            journal_meta=(_journal_meta(uarch, seed, shards)
-                          if journal is not None else None),
-            worker_fn=worker_fn, serial_fn=serial_fn, retry=retry,
-            stats=stats, run_label=run_label,
-            total_blocks=sum(len(shard) for shard in shards),
-            total_shards=len(shards))
-
-    # Live-layer setup (all of it telemetry-gated): mint the
-    # run-scoped trace ID, announce the run, and build the windowed
-    # aggregator over deterministic global block indices (each shard's
-    # start offset is its prefix sum — shards are contiguous slices).
-    hub = telemetry.get_telemetry()
-    trace_id: Optional[str] = None
-    aggregator: Optional[window.WindowAggregator] = None
-    starts: Optional[Dict[int, int]] = None
-    label = run_label or uarch
-    if hub.enabled:
-        if hub.trace_id is None:
-            hub.trace_id = uuid.uuid4().hex[:12]
-        trace_id = hub.trace_id
-        starts = {}
-        offset = 0
-        for shard in sorted(shards, key=lambda s: s.index):
-            starts[shard.index] = offset
-            offset += len(shard)
-        aggregator = window.WindowAggregator(
-            label, offset,
-            on_window=lambda summary: telemetry.event(
-                "window", label=label, **summary))
-        telemetry.event("run.start", label=label, uarch=uarch,
-                        seed=seed, jobs=jobs, shards=len(shards),
-                        blocks=offset,
-                        window_size=aggregator.window_size)
-
-    descriptor = MachineDescriptor(uarch=uarch, seed=seed,
-                                   trace=trace_id)
-
-    journaled: Dict[str, int] = {}
-    if journal is not None:
-        if cache is None:
-            raise ValueError("journal requires a shard cache")
-        journaled = journal.open(_journal_meta(uarch, seed, shards))
-
-    results: Dict[int, CorpusProfile] = {}
-    by_index = {shard.index: shard for shard in shards}
-    pending: List[Shard] = []
-    resumed = 0
-    try:
-        for shard in shards:
-            cached = _load_verified(cache, shard, journaled)
-            if cached is not None:
-                results[shard.index] = cached
-                _feed_windows(aggregator, starts, shard, cached)
-                if shard.digest in journaled:
-                    resumed += 1
-            else:
-                pending.append(shard)
-
-        run_stats = {"shards": len(shards),
-                     "cache_hits": len(results), "resumed": resumed,
-                     "profiled": 0, "retried": 0, "failed": 0,
-                     "written": 0}
-        telemetry.count("parallel.shards_total", len(shards))
-        if run_stats["cache_hits"]:
-            telemetry.count("parallel.shard_cache_hits",
-                            run_stats["cache_hits"])
-        if cache is not None:
-            if run_stats["cache_hits"]:
-                telemetry.count("cache.shard.hits",
-                                run_stats["cache_hits"])
-            if pending:
-                telemetry.count("cache.shard.misses", len(pending))
-        if resumed:
-            telemetry.count("resilience.resumed_shards", resumed)
-            telemetry.event("resilience.resume", shards=resumed,
-                            pending=len(pending))
-
-        failed: List[Shard] = []
-        with telemetry.span("parallel.profile_corpus", uarch=uarch,
-                            jobs=jobs, shards=len(shards),
-                            pending=len(pending)) as span:
-            if pending and (jobs <= 1 or len(pending) == 1):
-                profiler = BasicBlockProfiler(descriptor.build(),
-                                              config)
-                for shard in pending:
-                    profile = profile_records_detailed(profiler,
-                                                       shard.records)
-                    results[shard.index] = profile
-                    _feed_windows(aggregator, starts, shard, profile)
-                    run_stats["profiled"] += 1
-                    _store(cache, shard, profile, run_stats, journal)
-            elif pending:
-                trace_dir = tempfile.mkdtemp(prefix="repro-trace-") \
-                    if hub.enabled else None
-                try:
-                    failed = _run_pool(pending, descriptor, config,
-                                       jobs, shard_timeout, worker_fn,
-                                       results, run_stats, cache,
-                                       journal, trace_dir=trace_dir,
-                                       trace_id=trace_id,
-                                       aggregator=aggregator,
-                                       starts=starts)
-                    if trace_dir is not None:
-                        _stitch_worker_traces(trace_dir)
-                finally:
-                    if trace_dir is not None:
-                        shutil.rmtree(trace_dir, ignore_errors=True)
-                for shard in failed:
-                    # Escalate pool -> serial: bounded retries in the
-                    # parent; a shard that still fails is bucketed,
-                    # never allowed to poison the run or the cache.
-                    run_stats["retried"] += 1
-                    telemetry.count("parallel.worker_retries")
-                    telemetry.count("resilience.retries")
-                    telemetry.event("parallel.worker_retry",
-                                    shard=shard.index,
-                                    digest=shard.digest)
-                    retry_fn = serial_fn or _serial_shard
-                    try:
-                        profile = retry.run(
-                            lambda attempt, s=shard:
-                            retry_fn(descriptor, config, s),
-                            key=f"serial_rescue|{shard.digest}",
-                            retry_on=(Exception,))
-                        results[shard.index] = profile
-                        _feed_windows(aggregator, starts, shard,
-                                      profile)
-                        run_stats["profiled"] += 1
-                        # The rescue ran in-parent, so the profiler's
-                        # own counters already recorded it — no
-                        # replication (workers alone need that).
-                        _store(cache, shard, profile, run_stats,
-                               journal)
-                    except Exception as exc:
-                        run_stats["failed"] += 1
-                        telemetry.count("parallel.worker_failures")
-                        telemetry.event("parallel.worker_failure",
-                                        shard=shard.index,
-                                        error=type(exc).__name__)
-                        resilience.quarantine_or_raise(
-                            f"shard {shard.index} failed in the pool "
-                            f"and in {retry.max_attempts} serial "
-                            f"attempts", type(exc).__name__)
-                        failure_profile = _worker_failure_profile(shard)
-                        results[shard.index] = failure_profile
-                        _feed_windows(aggregator, starts, shard,
-                                      failure_profile)
-            span.annotate(profiled=run_stats["profiled"],
-                          cache_hits=run_stats["cache_hits"],
-                          resumed=resumed,
-                          failed=run_stats["failed"])
-    finally:
-        if journal is not None:
-            journal.close()
-
-    if stats is not None:
-        stats.update(run_stats)
-    merged = merge_profiles(
-        [(by_index[index], profile)
-         for index, profile in results.items()])
-    if aggregator is not None:
-        series = aggregator.finish()
-        window.deposit_run(label, series)
-        telemetry.event("run.end", label=label, uarch=uarch,
-                        total=merged.funnel["total"],
-                        accepted=merged.funnel["accepted"],
-                        windows=len(series))
-    resources.sample_peak_rss()
-    return merged
+    jobs = default_jobs() if jobs is None else jobs
+    return profile_corpus_streamed(
+        iter(shards), uarch, seed=seed, jobs=min(jobs, len(shards)),
+        config=config, shard_size=shard_size,
+        shard_timeout=shard_timeout, cache=cache, journal=journal,
+        journal_meta=(_journal_meta(uarch, seed, shards)
+                      if journal is not None else None),
+        worker_fn=worker_fn, serial_fn=serial_fn, retry=retry,
+        stats=stats, run_label=run_label,
+        total_blocks=sum(len(shard) for shard in shards),
+        total_shards=len(shards))
 
 
 def _as_shard_stream(source: Union[Iterable[BlockRecord],
@@ -671,29 +489,29 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
                             ) -> CorpusProfile:
     """Profile a lazily generated corpus in constant memory.
 
-    The pipelined counterpart of :func:`profile_corpus_sharded`:
-    ``source`` is an *iterator* of block records (or pre-built shards)
-    that is consumed exactly once — generate → digest → shard →
-    profile → fold → discard.  At most ``prefetch`` shards (default
+    The one profiling engine; :func:`profile_corpus_sharded` is its
+    finite-stream wrapper for materialised corpora.  ``source`` is an
+    *iterator* of block records (or pre-built shards) that is consumed
+    exactly once — generate → digest → shard → profile → fold →
+    discard.  At most ``prefetch`` shards (default
     ``$REPRO_STREAM_PREFETCH`` × ``jobs``, never fewer than ``jobs``)
     are in flight at a time, so generation overlaps profiling in the
     pool workers while the bounded window provides backpressure: peak
     RSS is a function of ``jobs`` and ``shard_size``, never of corpus
     length (``benchmarks/bench_streaming.py`` enforces this).
+    ``jobs=1`` profiles in-process with no pool.
 
     Results fold incrementally into a :class:`ProfileFolder` in
     shard-index order — the same fold ``merge_profiles`` performs over
     the full pair list — so the returned profile is byte-identical to
-    the batch engine's over the same records.  Cache, journal, chaos
-    accounting, serial rescue, and window feeding all reuse the batch
-    engine's helpers; a streamed run with a journal resumes a batch
-    run and vice versa, provided ``journal_meta`` matches.
+    the serial reference over the same records.
 
-    A streamed run cannot derive journal identity from a corpus it has
-    not finished generating, so callers with ``journal`` must pass
-    ``journal_meta`` explicitly (the batch delegation passes its usual
-    corpus digest; generator-mode callers pin a corpus *spec* digest
-    from :func:`repro.corpus.streaming.corpus_spec_digest`).
+    A stream cannot derive journal identity from a corpus it has not
+    finished generating, so callers with ``journal`` must pass
+    ``journal_meta`` explicitly (:func:`profile_corpus_sharded` passes
+    the digest of its shards; generator-mode callers pin a corpus
+    *spec* digest from
+    :func:`repro.corpus.streaming.corpus_spec_digest`).
 
     ``total_blocks``/``total_shards`` (when known) size the window
     aggregator and the ``run.start`` event; ``None`` means unknown —
@@ -705,11 +523,7 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
     jobs = default_jobs() if jobs is None else max(1, jobs)
     if shard_timeout is None:
         shard_timeout = default_shard_timeout()
-    # The batch delegation hands over its resolved default worker —
-    # swap it (and a plain None) for the epoch-bounded streamed entry;
-    # injected custom workers pass through untouched.
-    if worker_fn is None or worker_fn is profile_shard_worker:
-        worker_fn = profile_shard_worker_streamed
+    worker_fn = worker_fn or profile_shard_worker
     retry = retry or resilience.default_retry_policy(seed)
     if prefetch is None:
         prefetch = corpus_streaming.default_prefetch(jobs)
@@ -791,7 +605,7 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
 
     try:
         with telemetry.span("parallel.profile_corpus", uarch=uarch,
-                            jobs=jobs, streamed=True) as span:
+                            jobs=jobs) as span:
             if jobs <= 1:
                 _stream_serial(shard_iter, descriptor, config, cache,
                                journal, journaled, run_stats,
@@ -837,9 +651,9 @@ def _stream_serial(shard_iter: Iterator[Shard],
                    journal: Optional[RunJournal],
                    journaled: Dict[str, int], run_stats: Dict,
                    arrive, hit, fold, depth) -> None:
-    """The streamed engine's in-process path: profile as shards cut.
+    """The engine's in-process path: profile as shards are cut.
 
-    One shared profiler across misses — the batch serial path's
+    One shared profiler across misses — the serial reference's
     memoisation semantics — but the profiler (and the compiled-plan
     cache with it) is dropped and rebuilt every
     :func:`~repro.corpus.streaming.stream_epoch_blocks` profiled
@@ -886,7 +700,7 @@ def _stream_pool(shard_iter: Iterator[Shard],
                  journaled: Dict[str, int], run_stats: Dict,
                  hub, trace_id: Optional[str],
                  arrive, hit, fold, depth) -> None:
-    """The streamed engine's pooled path: bounded-prefetch pipeline.
+    """The engine's pooled path: bounded-prefetch pipeline.
 
     A fill loop pulls shards from the generator only while fewer than
     ``max_inflight`` results are outstanding (submitted or completed
@@ -896,11 +710,11 @@ def _stream_pool(shard_iter: Iterator[Shard],
     index order; because submission is also in index order, the fold
     frontier can never starve while work is outstanding.
 
-    Failure handling mirrors the batch pool: a worker exception or
-    per-shard timeout escalates to the bounded serial rescue in the
-    parent (same retry keys, same quarantine-or-raise), and a broken
-    pool is rebuilt once per submit so one crashed worker cannot sink
-    the rest of the stream.
+    Failure handling: a worker exception or per-shard timeout
+    escalates to the bounded serial rescue in the parent (retry key
+    ``serial_rescue|<digest>``, then quarantine-or-raise), and a
+    broken pool is rebuilt once per submit so one crashed worker
+    cannot sink the rest of the stream.
     """
     inflight: Dict[int, Tuple] = {}   # index -> (future, shard, t0)
     ready: Dict[int, Tuple] = {}      # index -> (shard, profile)
@@ -1001,7 +815,7 @@ def _stream_pool(shard_iter: Iterator[Shard],
                 submit(shard)
                 depth(len(inflight) + len(ready))
             # Fold: drain the contiguous completed frontier in index
-            # order (this is what keeps streamed == batch bytes).
+            # order (this is what keeps pooled == serial bytes).
             while next_fold in ready:
                 shard, profile = ready.pop(next_fold)
                 fold(shard, profile)
@@ -1115,57 +929,3 @@ def _account_planned_worker_faults(pending: Sequence[Shard]) -> None:
         elif policy.should_fire("worker_hang", shard.digest):
             chaos.account("worker_hang", shard.digest)
 
-
-def _run_pool(pending: Sequence[Shard],
-              descriptor: MachineDescriptor,
-              config: Optional[ProfilerConfig], jobs: int,
-              shard_timeout: float, worker_fn,
-              results: Dict[int, CorpusProfile], run_stats: Dict,
-              cache: Optional[ShardCache],
-              journal: Optional[RunJournal] = None,
-              trace_dir: Optional[str] = None,
-              trace_id: Optional[str] = None,
-              aggregator: Optional[window.WindowAggregator] = None,
-              starts: Optional[Dict[int, int]] = None) -> List[Shard]:
-    """Fan pending shards out to a process pool; return the failures."""
-    failed: List[Shard] = []
-    hung = False
-    interrupted = False
-    _account_planned_worker_faults(pending)
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)),
-                               initializer=_init_worker,
-                               initargs=(trace_dir, trace_id))
-    try:
-        futures = [(pool.submit(worker_fn, descriptor, config,
-                                shard.index, shard.records), shard)
-                   for shard in pending]
-        for future, shard in futures:
-            try:
-                index, profile = future.result(timeout=shard_timeout)
-                results[index] = profile
-                _feed_windows(aggregator, starts, shard, profile)
-                run_stats["profiled"] += 1
-                _replicate_profiler_counters(profile)
-                _store(cache, shard, profile, run_stats, journal)
-            except Exception as exc:  # TimeoutError, BrokenProcessPool,
-                # or whatever the worker raised — all retried serially.
-                if isinstance(exc, TimeoutError):
-                    hung = True
-                    future.cancel()
-                failed.append(shard)
-                telemetry.event("parallel.shard_error",
-                                shard=shard.index,
-                                error=type(exc).__name__)
-    except BaseException:
-        # KeyboardInterrupt / fatal error: hard-stop the pool, reap
-        # every worker, and let the interrupt propagate.  Without this
-        # a Ctrl-C would leave orphan workers grinding on and the
-        # management thread waiting on them.
-        interrupted = True
-        raise
-    finally:
-        if hung or interrupted:
-            _terminate_pool(pool)
-        else:
-            pool.shutdown(wait=True, cancel_futures=True)
-    return failed

@@ -123,14 +123,15 @@ def merge_funnels(funnels: Sequence[Dict]) -> Dict:
 class ProfileFolder:
     """Incremental shard-profile merge, one shard at a time.
 
-    The streamed engine's fold stage: shards are :meth:`add`-ed in
+    The profiling engine's fold stage: shards are :meth:`add`-ed in
     shard-index order as they complete and their per-shard state is
     discarded immediately — only the folded throughputs/funnel/info
     accumulate.  Folding in index order reproduces exactly what
     ``merge_profiles`` computes from the full pair list (throughput
     insertion order, funnel bucket first-encounter order, every
     count), which is why ``merge_profiles`` is itself implemented as a
-    fold — batch and streamed merges cannot diverge by construction.
+    fold — the engine's merge and the reference merge over cached
+    shards cannot diverge by construction.
     """
 
     def __init__(self):

@@ -10,7 +10,9 @@ in-process with plain function calls.  The asyncio daemon
 Execution model: every block in a request becomes its own **one-block
 shard**, content-addressed by the block's text (the shard digest
 covers only block texts, never ids), and the batch of unique shards
-runs through :func:`repro.parallel.profile_corpus_sharded` against the
+runs through :func:`repro.parallel.profile_corpus_sharded` — a finite
+stream on the one profiling engine, whose pool never outnumbers the
+shards, so a one-block batch profiles in-process — against the
 shared v3 shard cache.  Because measurement is a pure function of
 (block text, uarch, seed) — even simulated noise is seeded from the
 text — two clients sending the same block hit the same cache file, so

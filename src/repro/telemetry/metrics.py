@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 import threading
+import zlib
 from typing import Dict, List, Optional
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
@@ -66,7 +67,11 @@ class Histogram:
         self.max: Optional[float] = None
         self._samples: List[float] = []
         self._max_samples = max_samples
-        self._rng = random.Random(0x5EED ^ hash(name) & 0xFFFF)
+        # crc32, not hash(): string hashing is salted per interpreter
+        # (PYTHONHASHSEED), which would make retained samples — and so
+        # every reported percentile — differ between identical runs.
+        self._rng = random.Random(0x5EED ^ zlib.crc32(name.encode())
+                                  & 0xFFFF)
 
     def observe(self, value: float) -> None:
         self.count += 1

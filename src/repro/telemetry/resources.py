@@ -5,7 +5,7 @@ the corpus grows (``benchmarks/bench_streaming.py`` enforces it); this
 module makes that claim observable in every run report instead of only
 in the bench.  ``sample_peak_rss`` records the process high-water RSS
 into the ``resources.peak_rss_kb`` gauge, and the report builder adds
-a ``resources`` section combining it with the streamed engine's
+a ``resources`` section combining it with the profiling engine's
 ``stream.*`` counters (shards submitted/folded, in-flight queue depth
 distribution and its high-water mark).
 
@@ -54,7 +54,7 @@ def resources_section(snapshot: Dict) -> Dict:
 
     Always carries ``peak_rss_kb`` (sampled live at report-build time,
     falling back to the gauge a finished run recorded); the ``stream``
-    sub-section appears only when the streamed engine ran.
+    sub-section appears only when the profiling engine ran.
     """
     gauges = snapshot.get("gauges", {})
     counters = snapshot.get("counters", {})

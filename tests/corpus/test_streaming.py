@@ -17,7 +17,7 @@ from repro.corpus.dataset import (DEFAULT_APPS, BlockRecord,
                                   build_application, build_corpus)
 from repro.corpus.streaming import (corpus_spec_digest,
                                     default_prefetch, iter_application,
-                                    iter_corpus, stream_enabled)
+                                    iter_corpus)
 from repro.isa.parser import parse_block
 from repro.parallel import shard_corpus, stream_shards
 
@@ -76,14 +76,6 @@ class TestSpecDigest:
 
 
 class TestEnvSwitches:
-    def test_stream_enabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STREAM", raising=False)
-        assert not stream_enabled()
-        monkeypatch.setenv("REPRO_STREAM", "1")
-        assert stream_enabled()
-        monkeypatch.setenv("REPRO_STREAM", "0")
-        assert not stream_enabled()
-
     def test_default_prefetch(self, monkeypatch):
         monkeypatch.delenv("REPRO_STREAM_PREFETCH", raising=False)
         assert default_prefetch(4) == 8

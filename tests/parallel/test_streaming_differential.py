@@ -1,13 +1,15 @@
-"""Streamed profiling is byte-identical to batch, and never cheats.
+"""Streamed profiling is byte-identical to serial, and never cheats.
 
 ``profile_corpus_streamed`` consumes a *generator* of records — it can
 never look ahead, count, or re-read its input — yet its merged profile
-must serialise to exactly the bytes the batch sharded engine produces.
-This suite proves that differentially (serial and pooled, all three
-microarchitectures), pins the ``REPRO_STREAM=1`` delegation path in
-``profile_corpus_sharded``, and checks the streamed run's contracts:
-index-ordered folding, honest stats, journal-identity discipline, and
-cache interoperability with batch runs.
+must serialise to exactly the bytes the serial reference
+``profile_corpus_detailed`` produces.  This suite proves that
+differentially (serial and pooled, all three microarchitectures, with
+and without retained-state epoch resets), for both the generator-fed
+engine and its finite-stream wrapper ``profile_corpus_sharded``, and
+checks the streamed run's contracts: index-ordered folding, honest
+stats, journal-identity discipline, and cache interoperability
+between the two entry points.
 """
 
 import json
@@ -16,9 +18,11 @@ import os
 import pytest
 
 from repro.corpus.dataset import build_application
+from repro.eval.validation import profile_corpus_detailed
 from repro.parallel import (ShardCache, profile_corpus_sharded,
                             profile_corpus_streamed, shard_corpus)
 from repro.resilience import JOURNAL_NAME, RunJournal
+from repro.runtime import plan
 
 UARCHES = ("ivybridge", "haswell", "skylake")
 
@@ -36,46 +40,42 @@ def _records(app="openblas", count=26, seed=5):
 @pytest.mark.parametrize("jobs", (1, 2))
 def test_streamed_equals_batch(uarch, jobs):
     records = _records()
-    batch = profile_corpus_sharded(records, uarch, seed=5, jobs=jobs,
-                                   shard_size=4)
     streamed = profile_corpus_streamed(iter(records), uarch, seed=5,
                                        jobs=jobs, shard_size=4)
-    assert _payload(streamed) == _payload(batch)
+    assert _payload(streamed) == _payload(
+        profile_corpus_detailed(records, uarch, seed=5))
 
 
-def test_env_delegation_equals_batch(monkeypatch):
-    """``REPRO_STREAM=1`` reroutes the batch entry point through the
-    streamed engine — same signature, same bytes."""
-    records = _records(count=21)
-    monkeypatch.delenv("REPRO_STREAM", raising=False)
-    batch = profile_corpus_sharded(records, "haswell", seed=5,
-                                   jobs=2, shard_size=8)
-    monkeypatch.setenv("REPRO_STREAM", "1")
-    streamed = profile_corpus_sharded(records, "haswell", seed=5,
-                                      jobs=2, shard_size=8)
-    assert _payload(streamed) == _payload(batch)
-
-
-def test_stream_flag_overrides_env(monkeypatch):
-    monkeypatch.setenv("REPRO_STREAM", "1")
-    records = _records(count=9)
-    explicit_off = profile_corpus_sharded(records, "haswell", seed=5,
-                                          shard_size=4, stream=False)
-    explicit_on = profile_corpus_sharded(records, "haswell", seed=5,
-                                         shard_size=4, stream=True)
-    assert _payload(explicit_off) == _payload(explicit_on)
+@pytest.mark.parametrize("uarch", UARCHES)
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_epoch_resets_keep_bytes(monkeypatch, uarch, jobs):
+    """A 4-block epoch makes every profiling process drop its profiler
+    and plan cache many times over the run (in the parent when serial,
+    in each worker when pooled) — the bytes must not notice."""
+    monkeypatch.setenv("REPRO_STREAM_EPOCH", "4")
+    resets = []
+    clear = plan.clear_plan_cache
+    monkeypatch.setattr(plan, "clear_plan_cache",
+                        lambda: (resets.append(1), clear()))
+    records = _records(count=30)
+    sharded = profile_corpus_sharded(records, uarch, seed=5, jobs=jobs,
+                                     shard_size=3)
+    if jobs == 1:  # pooled resets happen in the workers, out of sight
+        assert len(resets) >= 3
+    serial = profile_corpus_detailed(records, uarch, seed=5)
+    assert _payload(sharded) == _payload(serial)
+    assert sharded.info == serial.info
 
 
 def test_accepts_shard_stream():
-    """Pre-cut shards stream through unchanged (the delegation path
-    hands over shards, not records)."""
+    """Pre-cut shards stream through unchanged (the finite-stream
+    wrapper hands over shards, not records)."""
     records = _records(count=18)
     shards = shard_corpus(records, 4)
     streamed = profile_corpus_streamed(iter(shards), "skylake", seed=5,
                                        shard_size=4)
     assert _payload(streamed) == _payload(
-        profile_corpus_sharded(records, "skylake", seed=5,
-                               shard_size=4))
+        profile_corpus_detailed(records, "skylake", seed=5))
 
 
 @pytest.mark.parametrize("jobs", (1, 2))
@@ -123,8 +123,9 @@ def test_journal_requires_identity(tmp_path):
 
 @pytest.mark.parametrize("jobs", (1, 2))
 def test_cache_interop_with_batch(tmp_path, jobs):
-    """A batch run warms the cache; the streamed run over the same
-    records resumes every shard from it — and vice versa."""
+    """A materialised ``profile_corpus_sharded`` run warms the cache;
+    the generator-fed run over the same records resumes every shard
+    from it, and both match the serial reference."""
     records = _records(count=16)
     cache = ShardCache(str(tmp_path))
     batch_stats = {}
@@ -138,7 +139,10 @@ def test_cache_interop_with_batch(tmp_path, jobs):
                                        cache=cache, stats=stream_stats)
     assert stream_stats["cache_hits"] == 4
     assert stream_stats["profiled"] == 0
-    assert _payload(streamed) == _payload(batch)
+    serial = _payload(profile_corpus_detailed(records, "haswell",
+                                              seed=5))
+    assert _payload(batch) == serial
+    assert _payload(streamed) == serial
 
 
 def test_streamed_run_is_rerunnable_from_journal(tmp_path):

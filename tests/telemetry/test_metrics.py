@@ -1,6 +1,13 @@
 """Metrics registry: counters, gauges, histogram percentiles."""
 
+import os
+import subprocess
+import sys
+
 from repro.telemetry import Histogram, MetricsRegistry
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..",
+                                   "src"))
 
 
 class TestCounterGauge:
@@ -68,6 +75,28 @@ class TestHistogram:
                 h.observe(float(v))
             return h.p95
         assert build() == build()
+
+    def test_reservoir_independent_of_hash_seed(self):
+        # String hashing is salted by PYTHONHASHSEED, so a reservoir
+        # seeded from hash(name) would retain different samples in two
+        # interpreters fed the same observations.
+        script = (
+            "from repro.telemetry import Histogram\n"
+            "h = Histogram('span.worker.shard', max_samples=16)\n"
+            "for v in range(1000):\n"
+            "    h.observe(float(v))\n"
+            "print(h.p50, h.p95, h.p99)\n")
+        outputs = []
+        for hash_seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=SRC + os.pathsep
+                       + os.environ.get("PYTHONPATH", ""))
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=60)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestSnapshot:
