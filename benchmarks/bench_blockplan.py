@@ -27,14 +27,13 @@ import json
 import os
 import time
 
+from repro import envvars
 from repro.corpus.dataset import build_application
 from repro.eval.reporting import format_table
 from repro.eval.validation import profile_corpus_detailed
 from repro.parallel import profile_corpus_sharded
 from repro.profiler.harness import BasicBlockProfiler, ProfilerConfig
-from repro.runtime import blockplan
 from repro.runtime import plan as planmod
-from repro.simcore import config as simcore
 from repro.uarch.machine import Machine
 
 from conftest import REPORT_DIR
@@ -78,7 +77,8 @@ def _fingerprint(result):
 def _profile_run(texts, compiled, fastpath):
     """Profile ``texts`` with a fresh profiler; returns (secs, prints)."""
     planmod.clear_plan_cache()
-    with simcore.forced(fastpath), blockplan.forced(compiled):
+    with envvars.forced("REPRO_NO_FASTPATH", not fastpath), \
+            envvars.forced("REPRO_NO_BLOCKPLAN", not compiled):
         profiler = BasicBlockProfiler(
             Machine(UARCH, seed=0),
             ProfilerConfig(base_factor=BASE_FACTOR))
@@ -102,9 +102,9 @@ def _identity_sweep():
     """Serialized profiles identical, plans on vs off, serial + pool."""
     corpus = build_application("llvm", count=14, seed=5)
     for uarch in UARCHES:
-        with blockplan.forced(False):
+        with envvars.forced("REPRO_NO_BLOCKPLAN", True):
             off = profile_corpus_detailed(corpus, uarch, seed=5)
-        with blockplan.forced(True):
+        with envvars.forced("REPRO_NO_BLOCKPLAN", False):
             on = profile_corpus_detailed(corpus, uarch, seed=5)
             pool = profile_corpus_sharded(corpus, uarch, seed=5,
                                           jobs=2, shard_size=8)

@@ -31,9 +31,9 @@ import json
 import os
 import time
 
+from repro import envvars
 from repro.eval.reporting import format_table
 from repro.profiler.harness import BasicBlockProfiler, ProfilerConfig
-from repro.simcore import config as simcore
 from repro.uarch.machine import Machine
 
 from conftest import REPORT_DIR
@@ -88,7 +88,7 @@ def _fingerprint(result):
 
 def _profile_run(texts, fast):
     """Profile ``texts`` with a fresh profiler; returns (secs, prints)."""
-    with simcore.forced(fast):
+    with envvars.forced("REPRO_NO_FASTPATH", not fast):
         profiler = BasicBlockProfiler(
             Machine(UARCH, seed=0),
             ProfilerConfig(base_factor=BASE_FACTOR))

@@ -15,8 +15,8 @@ import os
 
 import pytest
 
-from repro import telemetry
-from repro.eval.pipeline import DEFAULT_SCALE, DEFAULT_SEED, Experiment
+from repro import envvars, telemetry
+from repro.eval.pipeline import Experiment
 
 REPORT_DIR = os.path.join(os.path.dirname(__file__), "..", "reports")
 
@@ -30,7 +30,7 @@ def bench_telemetry():
     funnel for everything profiled during the session.  Disable with
     ``REPRO_TELEMETRY=0`` (e.g. when chasing peak numbers).
     """
-    if os.environ.get("REPRO_TELEMETRY", "1") == "0":
+    if not envvars.get("REPRO_TELEMETRY"):
         yield
         return
     telemetry.enable()
@@ -38,14 +38,15 @@ def bench_telemetry():
     os.makedirs(REPORT_DIR, exist_ok=True)
     session_report = telemetry.build_run_report(
         telemetry.registry(), name="telemetry_bench_session",
-        meta={"scale": DEFAULT_SCALE, "seed": DEFAULT_SEED})
+        meta={"scale": envvars.get("REPRO_SCALE"),
+              "seed": envvars.get("REPRO_SEED")})
     telemetry.write_run_report(session_report, REPORT_DIR)
     telemetry.reset()
 
 
 @pytest.fixture(scope="session")
 def experiment():
-    return Experiment(scale=DEFAULT_SCALE, seed=DEFAULT_SEED)
+    return Experiment()
 
 
 @pytest.fixture(scope="session")

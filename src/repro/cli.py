@@ -44,6 +44,7 @@ import os
 import sys
 from typing import List, Optional
 
+from repro import envvars
 from repro.isa.parser import parse_block
 
 _MODEL_NAMES = ("iaca", "llvm-mca", "osaca")
@@ -156,14 +157,13 @@ def _print_profile() -> None:
 
 def _sample_fraction(args) -> Optional[float]:
     """--sample FRAC, else $REPRO_SAMPLE, else None (full corpus)."""
-    from repro.corpus import sampling
     if getattr(args, "sample", None) is not None:
         fraction = args.sample
         if not 0.0 < fraction <= 1.0:
             raise SystemExit(f"error: --sample {fraction}: fraction "
                              "must be in (0, 1]")
         return fraction
-    return sampling.sample_fraction()
+    return envvars.get("REPRO_SAMPLE")
 
 
 def _stream_corpus_cmd(args) -> int:
@@ -352,7 +352,7 @@ def cmd_telemetry(args) -> int:
     experiment.validation(args.uarch)
     report = experiment.write_run_report(args.uarch,
                                          directory=args.report_dir)
-    directory = args.report_dir or telemetry.default_report_dir()
+    directory = args.report_dir or envvars.get("REPRO_REPORT_DIR")
     path = os.path.join(directory, report["report"] + ".json")
     if args.format == "json":
         print(json_mod.dumps(report, indent=2, sort_keys=True,
@@ -404,7 +404,7 @@ def cmd_serve(args) -> int:
         # work without --trace; --trace upgrades this to a full
         # NDJSON export (wired in main()).
         telemetry.enable()
-    config = ServeConfig.from_env(
+    flags = dict(
         socket=args.socket, port=args.port, host=args.host,
         jobs=_resolve_jobs(args),
         queue_size=args.queue, deadline_ms=args.deadline_ms,
@@ -412,6 +412,8 @@ def cmd_serve(args) -> int:
         coalesce_ms=args.coalesce_ms, breaker_threshold=args.breaker,
         breaker_cooldown_s=args.breaker_cooldown, drain_s=args.drain,
         state_dir=args.state)
+    config = ServeConfig(**{name: value for name, value in flags.items()
+                            if value is not None})
     run_daemon(config)
     return 0
 
@@ -436,7 +438,6 @@ def cmd_bench_check(args) -> int:
 
 def cmd_envvars(args) -> int:
     """Print the REPRO_* environment-variable registry."""
-    from repro import envvars
     return envvars.main(
         (["--group", args.group] if args.group else [])
         + ["--format", args.format])
@@ -613,40 +614,35 @@ def build_parser() -> argparse.ArgumentParser:
                         "bit-identical whatever N is")
     p.add_argument("--queue", type=int, default=None, metavar="N",
                    help="admission queue capacity; a full queue sheds "
-                        "with 429 + retry-after (default 64, or "
-                        "$REPRO_SERVE_QUEUE)")
+                        "with 429 + retry-after (default 64)")
     p.add_argument("--deadline-ms", type=float, default=None,
                    metavar="MS",
                    help="default per-request deadline when the client "
-                        "sends none (default 30000, or "
-                        "$REPRO_SERVE_DEADLINE_MS)")
+                        "sends none (default 30000)")
     p.add_argument("--rate", type=float, default=None, metavar="R",
                    help="per-client token-bucket refill rate in "
                         "requests/second; 0 disables rate limits "
-                        "(default 0, or $REPRO_SERVE_RATE)")
+                        "(default 0)")
     p.add_argument("--burst", type=int, default=None, metavar="N",
-                   help="token-bucket burst capacity (default 16, or "
-                        "$REPRO_SERVE_BURST)")
+                   help="token-bucket burst capacity (default 16)")
     p.add_argument("--batch", type=int, default=None, metavar="N",
                    help="max requests coalesced into one engine batch "
-                        "(default 64, or $REPRO_SERVE_BATCH)")
+                        "(default 64)")
     p.add_argument("--coalesce-ms", type=float, default=None,
                    metavar="MS",
                    help="how long the batcher lingers for more "
-                        "requests to coalesce (default 5, or "
-                        "$REPRO_SERVE_COALESCE_MS)")
+                        "requests to coalesce (default 5)")
     p.add_argument("--breaker", type=int, default=None, metavar="N",
                    help="consecutive worker-trouble batches before "
                         "the circuit breaker opens and batches run "
-                        "scalar (default 3, or $REPRO_SERVE_BREAKER)")
+                        "scalar (default 3)")
     p.add_argument("--breaker-cooldown", type=float, default=None,
                    metavar="SECS",
                    help="seconds the breaker stays open before a "
-                        "half-open probe (default 5, or "
-                        "$REPRO_SERVE_BREAKER_COOLDOWN_S)")
+                        "half-open probe (default 5)")
     p.add_argument("--drain", type=float, default=None, metavar="SECS",
                    help="ceiling on the graceful SIGTERM drain "
-                        "(default 10, or $REPRO_SERVE_DRAIN_S)")
+                        "(default 10)")
     p.add_argument("--state", metavar="DIR", default=None,
                    help="state directory: request journal + per-uarch "
                         "shard caches (default <cache>/serve, or "
@@ -677,8 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "registry (the docs' tables are generated "
                             "from it)")
     p.add_argument("--group", default=None,
-                   choices=("pipeline", "performance", "robustness",
-                            "observability", "serve", "bench"))
+                   choices=envvars.GROUP_ORDER)
     p.add_argument("--format", choices=("table", "json"),
                    default="table")
     p.set_defaults(func=cmd_envvars)

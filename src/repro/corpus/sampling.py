@@ -32,7 +32,6 @@ uncertainty attached.  Three pieces:
 
 from __future__ import annotations
 
-import os
 import random
 import zlib
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -40,7 +39,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.corpus.dataset import BlockRecord, Corpus
 
 __all__ = ["CATEGORIES", "block_category", "stratum",
-           "stratum_counts", "sample_fraction", "sample_stream",
+           "stratum_counts", "sample_stream",
            "sample_corpus", "project_validation", "render_projection"]
 
 #: Every category :func:`block_category` can produce, in report order.
@@ -49,18 +48,6 @@ CATEGORIES = ("vector", "load_store", "load_heavy", "store_heavy",
 
 #: Default bootstrap replicates for projection CIs.
 DEFAULT_BOOTSTRAP = 200
-
-
-def sample_fraction() -> Optional[float]:
-    """``$REPRO_SAMPLE`` as a fraction in (0, 1], or ``None``."""
-    env = os.environ.get("REPRO_SAMPLE", "").strip()
-    if not env:
-        return None
-    fraction = float(env)
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"REPRO_SAMPLE must be in (0, 1], "
-                         f"got {fraction}")
-    return fraction
 
 
 def block_category(block) -> str:

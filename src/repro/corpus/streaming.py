@@ -27,16 +27,15 @@ O(corpus).
 The profiling engine (:func:`repro.parallel.profile_corpus_streamed`)
 consumes such streams directly — ``repro corpus --stream`` feeds it
 the generator and never materialises the corpus — and a materialised
-corpus runs through the same engine as a finite stream.
-``REPRO_STREAM_PREFETCH`` bounds how many shards may be in flight
-(generated or profiled but not yet folded) per worker, and
-``REPRO_STREAM_EPOCH`` how many blocks each profiling process may
-retain dedup/plan state for.
+corpus runs through the same engine as a finite stream.  Its
+``prefetch`` argument bounds how many shards may be in flight
+(generated or profiled but not yet folded), and ``REPRO_STREAM_EPOCH``
+how many blocks each profiling process may retain dedup/plan state
+for.
 """
 
 from __future__ import annotations
 
-import os
 import zlib
 from typing import Iterator, Optional, Sequence
 
@@ -45,43 +44,13 @@ from repro.corpus.dataset import (DEFAULT_APPS, BlockRecord, get_spec,
 from repro.corpus.synthesis import BlockSynthesizer
 from repro.corpus.tracing import assign_frequencies
 
-__all__ = ["iter_application", "iter_corpus", "default_prefetch",
-           "stream_epoch_blocks", "corpus_spec_digest",
-           "DEFAULT_PREFETCH_PER_JOB", "DEFAULT_EPOCH_BLOCKS"]
+__all__ = ["iter_application", "iter_corpus", "corpus_spec_digest",
+           "DEFAULT_PREFETCH_PER_JOB"]
 
 #: Shards that may be in flight (submitted to the pool, or completed
 #: but not yet foldable because an earlier index is still running) per
 #: worker.  2 keeps every worker busy while the parent folds.
 DEFAULT_PREFETCH_PER_JOB = 2
-
-#: Blocks a profiler may retain dedup/plan state for before
-#: the engine drops and rebuilds it.  Profile results and compiled
-#: plans are pure functions of (block text, machine, config), so the
-#: reset never changes bytes — it only bounds the per-run caches that
-#: would otherwise grow linearly with corpus length.
-DEFAULT_EPOCH_BLOCKS = 512
-
-
-def default_prefetch(jobs: int) -> int:
-    """Bound on in-flight shards: ``REPRO_STREAM_PREFETCH`` per job if
-    set, else :data:`DEFAULT_PREFETCH_PER_JOB` per job."""
-    env = os.environ.get("REPRO_STREAM_PREFETCH", "").strip()
-    per_job = int(env) if env else DEFAULT_PREFETCH_PER_JOB
-    return max(1, per_job) * max(1, jobs)
-
-
-def stream_epoch_blocks() -> int:
-    """The profiling engine's retained-state bound, in blocks.
-
-    Every this-many profiled blocks the engine discards its profiler
-    (whose corpus-level dedup memo grows with every distinct block)
-    and the compiled-plan cache, in the parent for serial runs and
-    inside each pool worker for pooled ones.  ``0`` disables the
-    reset.  Tune with ``REPRO_STREAM_EPOCH``.
-    """
-    env = os.environ.get("REPRO_STREAM_EPOCH", "").strip()
-    epoch = int(env) if env else DEFAULT_EPOCH_BLOCKS
-    return max(0, epoch)
 
 
 def iter_application(name: str, scale: float = 0.01, seed: int = 0,

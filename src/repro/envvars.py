@@ -1,139 +1,257 @@
-"""The single source of truth for ``REPRO_*`` environment variables.
+"""The switchboard: the one reader of ``REPRO_*`` environment variables.
 
-Three docs used to carry hand-maintained copies of the env-var table
-(README.md, docs/performance.md, docs/robustness.md) and they drifted.
-Now every variable is declared here once, the docs embed generated
-tables between ``<!-- envvars:begin ... -->`` / ``<!-- envvars:end -->``
-markers, ``tests/test_envvars.py`` asserts the embedded tables match
-this registry byte-for-byte, and ``repro envvars`` prints the registry
-(``--format json`` for machines).
+Every variable is declared here once, with its default value and a
+parser, and every module reads it through :func:`get`; tests and
+benches override it through :func:`forced`.  No other module under
+``src/repro`` touches ``os.environ`` for a ``REPRO_`` name
+(``tests/test_envvars.py`` scans for it); the CLI only *exports*
+variables so forked pool workers inherit its flags.
 
-Adding a variable: declare it here, then re-run
-``python -m repro.envvars --update README.md docs/*.md`` (or paste the
-output of ``repro envvars --group <g>``) to refresh the doc blocks.
+One rule for bad values: a value that does not parse, or is out of
+its entry's range, raises :class:`ValueError` naming the variable and
+the value at its first read.  An empty value means unset.  Flags
+accept ``1/0/true/false/yes/no/on/off``.
+
+The docs embed generated tables between ``<!-- envvars:begin ... -->``
+/ ``<!-- envvars:end -->`` markers, ``tests/test_envvars.py`` asserts
+the embedded tables match this registry byte-for-byte, and
+``repro envvars`` prints the registry (``--format json`` for
+machines).  After changing an entry, re-run
+``python -m repro.envvars --update README.md docs/*.md``.
 """
 
 from __future__ import annotations
 
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["EnvVar", "REGISTRY", "by_group", "markdown_table",
-           "update_doc", "doc_blocks"]
+__all__ = ["EnvVar", "REGISTRY", "BY_NAME", "get", "forced", "by_group",
+           "markdown_table", "update_doc", "doc_blocks"]
 
+#: The repository root: the default measurement cache lives under it,
+#: whatever the working directory.
+_REPO_ROOT = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), "..", ".."))
+
+
+# ---------------------------------------------------------------------------
+# Parsers: raw string -> value, raising ValueError on a bad value
+# ---------------------------------------------------------------------------
+
+_FLAGS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def flag(raw: str) -> bool:
+    try:
+        return _FLAGS[raw.strip().lower()]
+    except KeyError:
+        raise ValueError("expected one of "
+                         "1/0/true/false/yes/no/on/off") from None
+
+
+def int_at_least(low: int) -> Callable[[str], int]:
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise ValueError(f"must be >= {low}")
+        return value
+    return parse
+
+
+def float_at_least(low: float) -> Callable[[str], float]:
+    def parse(raw: str) -> float:
+        value = float(raw)
+        if not value >= low:  # also rejects nan
+            raise ValueError(f"must be >= {low}")
+        return value
+    return parse
+
+
+def fraction(raw: str) -> float:
+    value = float(raw)
+    if not 0.0 < value <= 1.0:
+        raise ValueError("must be in (0, 1]")
+    return value
+
+
+def text(raw: str) -> str:
+    return raw.strip()
+
+
+def chaos_spec(raw: str):
+    """A :class:`~repro.resilience.chaos.ChaosPolicy`, parsed once per
+    distinct value (the memo in :func:`get` keeps ``chaos.active()``
+    a dict lookup on the hot path)."""
+    from repro.resilience.chaos import ChaosPolicy
+    return ChaosPolicy.parse(raw)
+
+
+# ---------------------------------------------------------------------------
+# The registry
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class EnvVar:
-    """One documented environment variable."""
+    """One environment variable: its default, parser and docs."""
 
     name: str
-    default: str
+    default: Any
+    parse: Callable[[str], Any]
     description: str
     #: Doc-table grouping: pipeline | performance | robustness |
-    #: observability | bench.
+    #: observability | serve.
     group: str
+    #: Appended to the rendered default, e.g. "CLI: `os.cpu_count()`".
+    note: str = ""
+
+    def shown_default(self) -> str:
+        if self.default is None or self.default is False:
+            shown = "unset"
+        elif self.default is True:
+            shown = "`1`"
+        else:
+            value = str(self.default)
+            if value.startswith(_REPO_ROOT + os.sep):
+                value = "<repo>" + value[len(_REPO_ROOT):]
+            shown = f"`{value}`"
+        return f"{shown} ({self.note})" if self.note else shown
 
 
 REGISTRY: List[EnvVar] = [
     # -- pipeline shape ---------------------------------------------------
-    EnvVar("REPRO_SCALE", "`0.004`",
+    EnvVar("REPRO_SCALE", 0.004, float_at_least(0.0),
            "corpus size relative to the paper's 358,561 blocks",
            "pipeline"),
-    EnvVar("REPRO_SEED", "`0`",
+    EnvVar("REPRO_SEED", 0, int_at_least(0),
            "base seed for corpus synthesis and simulated noise",
            "pipeline"),
-    EnvVar("REPRO_JOBS", "`1` (CLI: `os.cpu_count()`)",
+    EnvVar("REPRO_JOBS", None, int_at_least(1),
            "worker-pool size for `--jobs`-aware commands and benches",
-           "pipeline"),
-    EnvVar("REPRO_SHARD_SIZE", "`32`",
+           "pipeline", note="pipeline `1`, CLI `os.cpu_count()`"),
+    EnvVar("REPRO_SHARD_SIZE", 32, int_at_least(1),
            "blocks per content-addressed measurement-cache shard",
            "pipeline"),
-    EnvVar("REPRO_CACHE", "`.cache/`",
-           "measurement-cache directory", "pipeline"),
-    EnvVar("REPRO_REPORT_DIR", "`reports/`",
+    EnvVar("REPRO_CACHE", os.path.join(_REPO_ROOT, ".cache"), text,
+           "measurement-cache directory (the serve daemon's state "
+           "defaults to its `serve/` subdirectory)", "pipeline"),
+    EnvVar("REPRO_REPORT_DIR", "reports", text,
            "where benches and telemetry write reports", "pipeline"),
-    EnvVar("REPRO_STREAM_PREFETCH", "`2`",
-           "profiling prefetch depth per worker: at most "
-           "`prefetch x jobs` shards are in flight", "pipeline"),
-    EnvVar("REPRO_STREAM_EPOCH", "`512`",
+    EnvVar("REPRO_STREAM_EPOCH", 512, int_at_least(0),
            "blocks between retained-state resets of each profiling "
            "process (dedup memo + plan cache; same bytes, bounds RSS; "
            "`0` disables resets)", "pipeline"),
-    EnvVar("REPRO_SAMPLE", "unset",
+    EnvVar("REPRO_SAMPLE", None, fraction,
            "default `--sample` fraction: profile a stratified sample "
            "and project full-corpus error tables with bootstrap CIs",
            "pipeline"),
     # -- performance toggles ----------------------------------------------
-    EnvVar("REPRO_NO_FASTPATH", "unset",
+    EnvVar("REPRO_NO_FASTPATH", False, flag,
            "`1` disables the simulation-core fast path "
            "(same bytes, slower)", "performance"),
-    EnvVar("REPRO_NO_BLOCKPLAN", "unset",
+    EnvVar("REPRO_NO_BLOCKPLAN", False, flag,
            "`1` disables compiled block plans (same bytes, slower)",
            "performance"),
     # -- robustness knobs -------------------------------------------------
-    EnvVar("REPRO_CHAOS", "unset",
+    EnvVar("REPRO_CHAOS", None, chaos_spec,
            "arm deterministic fault injection "
            "(`<seed>[:point=rate,...]`, [docs/robustness.md]"
            "(docs/robustness.md))", "robustness"),
-    EnvVar("REPRO_STRICT", "unset (salvage)",
+    EnvVar("REPRO_STRICT", False, flag,
            "`1` makes quarantine decisions raise instead of degrade",
-           "robustness"),
-    EnvVar("REPRO_STEP_BUDGET", "`8000000`",
+           "robustness", note="salvage"),
+    EnvVar("REPRO_STEP_BUDGET", 8_000_000, int_at_least(1),
            "per-block dynamic-instruction watchdog budget",
            "robustness"),
-    EnvVar("REPRO_SHARD_TIMEOUT", "`600`",
+    EnvVar("REPRO_SHARD_TIMEOUT", 600, float_at_least(0.1),
            "seconds before a pooled shard is declared hung and rescued",
            "robustness"),
     # -- observability ----------------------------------------------------
-    EnvVar("REPRO_WINDOW", "`64`",
+    EnvVar("REPRO_WINDOW", 64, int_at_least(1),
            "blocks per live-telemetry aggregation window",
            "observability"),
-    EnvVar("REPRO_TELEMETRY", "`1` (benches)",
+    EnvVar("REPRO_TELEMETRY", True, flag,
            "`0` lets the bench suites skip telemetry collection "
-           "when chasing peak numbers", "observability"),
+           "when chasing peak numbers", "observability", note="benches"),
     # -- serve daemon -----------------------------------------------------
-    EnvVar("REPRO_SERVE_QUEUE", "`64`",
-           "admission queue capacity; a full queue sheds with "
-           "429 + retry-after ([docs/service.md](docs/service.md))",
-           "serve"),
-    EnvVar("REPRO_SERVE_DEADLINE_MS", "`30000`",
-           "default per-request deadline when the client sends none; "
-           "expired queued work is cancelled and counted, never "
-           "silently dropped", "serve"),
-    EnvVar("REPRO_SERVE_RATE", "`0` (unlimited)",
-           "per-client token-bucket refill rate in requests/second",
-           "serve"),
-    EnvVar("REPRO_SERVE_BURST", "`16`",
-           "per-client token-bucket burst capacity", "serve"),
-    EnvVar("REPRO_SERVE_BATCH", "`64`",
-           "max requests coalesced into one content-addressed engine "
-           "batch", "serve"),
-    EnvVar("REPRO_SERVE_COALESCE_MS", "`5`",
-           "how long the batcher lingers for concurrent requests to "
-           "coalesce before executing", "serve"),
-    EnvVar("REPRO_SERVE_BREAKER", "`3`",
-           "consecutive worker-trouble batches before the circuit "
-           "breaker opens and batches run scalar", "serve"),
-    EnvVar("REPRO_SERVE_BREAKER_COOLDOWN_S", "`5`",
-           "seconds the open breaker waits before a half-open pool "
-           "probe", "serve"),
-    EnvVar("REPRO_SERVE_WINDOW", "`32`",
+    EnvVar("REPRO_SERVE_WINDOW", 32, int_at_least(1),
            "finished requests per serve-metrics window "
            "(p50/p95/p99 latency, jitter, deadline-miss rate)",
            "serve"),
-    EnvVar("REPRO_SERVE_DRAIN_S", "`10`",
-           "ceiling on the graceful SIGTERM drain before forced "
-           "shutdown", "serve"),
-    EnvVar("REPRO_SERVE_STATE", "`<cache>/serve`",
+    EnvVar("REPRO_SERVE_STATE", None, text,
            "daemon state directory: CRC-self-checked request journal "
-           "plus per-(uarch, seed) shard caches", "serve"),
+           "plus per-(uarch, seed) shard caches", "serve",
+           note="`$REPRO_CACHE/serve`"),
 ]
+
+BY_NAME: Dict[str, EnvVar] = {v.name: v for v in REGISTRY}
 
 #: Order groups render in when a table spans several.
 GROUP_ORDER = ("pipeline", "performance", "robustness",
-               "observability", "serve", "bench")
+               "observability", "serve")
 
+
+# ---------------------------------------------------------------------------
+# Reading and overriding
+# ---------------------------------------------------------------------------
+
+#: Scoped overrides set by :func:`forced`.  A module global, so pool
+#: workers forked inside a ``forced`` scope inherit it.
+_forced: Dict[str, Any] = {}
+
+#: name -> (raw environment string or None, parsed value).
+_memo: Dict[str, Tuple[Optional[str], Any]] = {}
+
+
+def get(name: str) -> Any:
+    """The forced value, else the parsed environment value, else the
+    registry default.
+
+    Hot-path cheap (the fast-path and block-plan switches are read
+    dozens of times per block): one dict check, one environment read
+    and one memo lookup; a value is parsed once per distinct string.
+    """
+    if _forced and name in _forced:
+        return _forced[name]
+    raw = os.environ.get(name)
+    hit = _memo.get(name)
+    if hit is not None and hit[0] == raw:
+        return hit[1]
+    var = BY_NAME[name]
+    if raw is None or not raw.strip():
+        value = var.default
+    else:
+        try:
+            value = var.parse(raw)
+        except ValueError as exc:
+            raise ValueError(f"{name}={raw!r}: {exc}") from None
+    _memo[name] = (raw, value)
+    return value
+
+
+@contextmanager
+def forced(name: str, value: Any) -> Iterator[None]:
+    """Within the scope, :func:`get` returns ``value`` for ``name``
+    whatever the environment says (tests, benches)."""
+    BY_NAME[name]  # unknown names fail here, not at the first read
+    missing = object()
+    saved = _forced.get(name, missing)
+    _forced[name] = value
+    try:
+        yield
+    finally:
+        if saved is missing:
+            del _forced[name]
+        else:
+            _forced[name] = saved
+
+
+# ---------------------------------------------------------------------------
+# Doc tables
+# ---------------------------------------------------------------------------
 
 def by_group(group: Optional[str] = None) -> List[EnvVar]:
     """Registry entries for one group (or all, in group order)."""
@@ -145,19 +263,18 @@ def by_group(group: Optional[str] = None) -> List[EnvVar]:
     return ordered
 
 
-def markdown_table(group: Optional[str] = None) -> str:
-    """The generated markdown table for ``group`` (or everything)."""
-    rows = by_group(group)
+def _table(rows: List[EnvVar]) -> str:
     lines = ["| variable | default | meaning |",
              "| --- | --- | --- |"]
-    lines += [f"| `{v.name}` | {v.default} | {v.description} |"
+    lines += [f"| `{v.name}` | {v.shown_default()} | {v.description} |"
               for v in rows]
     return "\n".join(lines)
 
 
-# ---------------------------------------------------------------------------
-# Doc-block embedding
-# ---------------------------------------------------------------------------
+def markdown_table(group: Optional[str] = None) -> str:
+    """The generated markdown table for ``group`` (or everything)."""
+    return _table(by_group(group))
+
 
 _BLOCK = re.compile(
     r"<!-- envvars:begin(?: group=(?P<group>[a-z,]+))? -->"
@@ -168,14 +285,7 @@ _BLOCK = re.compile(
 def _render_groups(spec: Optional[str]) -> str:
     if not spec:
         return markdown_table()
-    rows: List[EnvVar] = []
-    for g in spec.split(","):
-        rows.extend(by_group(g))
-    lines = ["| variable | default | meaning |",
-             "| --- | --- | --- |"]
-    lines += [f"| `{v.name}` | {v.default} | {v.description} |"
-              for v in rows]
-    return "\n".join(lines)
+    return _table([v for g in spec.split(",") for v in by_group(g)])
 
 
 def doc_blocks(text: str) -> List[Dict]:
@@ -223,8 +333,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.format == "json":
         import json
-        print(json.dumps([v.__dict__ for v in by_group(args.group)],
-                         indent=2))
+        print(json.dumps([{"name": v.name, "default": v.shown_default(),
+                           "description": v.description,
+                           "group": v.group}
+                          for v in by_group(args.group)], indent=2))
     else:
         print(markdown_table(args.group))
     return 0

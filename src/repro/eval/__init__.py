@@ -2,8 +2,7 @@
 
 from repro.eval.metrics import (average_error, kendall_tau,
                                 relative_error, weighted_error)
-from repro.eval.pipeline import (DEFAULT_SCALE, DEFAULT_SEED, UARCHES,
-                                 Experiment, default_experiment)
+from repro.eval.pipeline import UARCHES, Experiment, default_experiment
 from repro.eval.reporting import (bar_chart, format_table,
                                   grouped_bar_chart, schedule_diagram,
                                   side_by_side)
@@ -15,8 +14,8 @@ from repro.eval.validation import (ValidationResult, ValidationRow,
 
 __all__ = [
     "relative_error", "average_error", "weighted_error", "kendall_tau",
-    "Experiment", "default_experiment", "DEFAULT_SCALE", "DEFAULT_SEED",
-    "UARCHES", "ValidationResult", "ValidationRow", "profile_corpus",
+    "Experiment", "default_experiment", "UARCHES",
+    "ValidationResult", "ValidationRow", "profile_corpus",
     "validate", "format_table", "bar_chart", "grouped_bar_chart",
     "schedule_diagram", "side_by_side",
     "tune", "TunedModel", "TuningReport",

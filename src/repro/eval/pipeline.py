@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
-from repro import telemetry
+from repro import envvars, telemetry
 from repro.telemetry import profiling
 from repro.classify.categories import ClassifierResult, classify_blocks
 from repro.corpus.dataset import Corpus, build_corpus, build_google_corpus
@@ -29,29 +29,16 @@ from repro.models.iaca import IacaModel
 from repro.models.ithemal import IthemalModel
 from repro.models.llvm_mca import LlvmMcaModel
 from repro.models.osaca import OsacaModel
-from repro.parallel import (DEFAULT_SHARD_SIZE, ShardCache,
-                            profile_corpus_sharded, shard_corpus)
+from repro.parallel import (ShardCache, profile_corpus_sharded,
+                            shard_corpus)
 from repro.resilience import JOURNAL_NAME, RunJournal
 from repro.resilience import policy as resilience
-
-#: Default scale for benches: 1/250 of the paper's 358k blocks.
-DEFAULT_SCALE = float(os.environ.get("REPRO_SCALE", "0.004"))
-DEFAULT_SEED = int(os.environ.get("REPRO_SEED", "0"))
-#: Worker processes for measurement.  1 (fully serial) unless
-#: ``REPRO_JOBS`` says otherwise; the CLI defaults to every core
-#: instead (see ``repro.parallel.default_jobs``).
-DEFAULT_JOBS = max(1, int(os.environ.get("REPRO_JOBS", "1")))
-SHARD_SIZE = max(1, int(os.environ.get("REPRO_SHARD_SIZE",
-                                       str(DEFAULT_SHARD_SIZE))))
 
 UARCHES = ("ivybridge", "haswell", "skylake")
 
 
 def _cache_dir() -> str:
-    root = os.environ.get("REPRO_CACHE",
-                          os.path.join(os.path.dirname(__file__),
-                                       "..", "..", "..", ".cache"))
-    path = os.path.abspath(root)
+    path = os.path.abspath(envvars.get("REPRO_CACHE"))
     os.makedirs(path, exist_ok=True)
     return path
 
@@ -165,13 +152,21 @@ def _shard_cache_dir(tag: str, uarch: str, seed: int) -> str:
 
 @dataclass
 class Experiment:
-    """Shared lazy artefacts for one (scale, seed) configuration."""
+    """Shared lazy artefacts for one (scale, seed) configuration.
 
-    scale: float = DEFAULT_SCALE
-    seed: int = DEFAULT_SEED
-    #: Worker processes for :meth:`measured` (1 = serial in-process).
-    jobs: int = DEFAULT_JOBS
-    shard_size: int = SHARD_SIZE
+    Unset fields read the registry when the experiment is built:
+    ``REPRO_SCALE`` (default 1/250 of the paper's 358k blocks),
+    ``REPRO_SEED``, ``REPRO_JOBS`` and ``REPRO_SHARD_SIZE``.
+    """
+
+    scale: float = field(default_factory=lambda: envvars.get("REPRO_SCALE"))
+    seed: int = field(default_factory=lambda: envvars.get("REPRO_SEED"))
+    #: Worker processes for :meth:`measured` (1 = serial in-process,
+    #: the default here; the CLI defaults to every core instead, see
+    #: ``repro.parallel.default_jobs``).
+    jobs: int = field(default_factory=lambda: envvars.get("REPRO_JOBS") or 1)
+    shard_size: int = field(
+        default_factory=lambda: envvars.get("REPRO_SHARD_SIZE"))
     _corpus: Optional[Corpus] = field(default=None, repr=False)
     _classification: Optional[ClassifierResult] = field(default=None,
                                                         repr=False)
@@ -394,7 +389,6 @@ class Experiment:
 
 
 @lru_cache(maxsize=4)
-def default_experiment(scale: float = DEFAULT_SCALE,
-                       seed: int = DEFAULT_SEED) -> Experiment:
+def default_experiment(scale: float, seed: int) -> Experiment:
     """Process-wide shared experiment (what the benches use)."""
     return Experiment(scale=scale, seed=seed)

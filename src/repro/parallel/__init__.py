@@ -11,8 +11,7 @@ of the same corpus are bit-identical, a property enforced by the
 differential suite in ``tests/parallel``.
 """
 
-from repro.parallel.engine import (DEFAULT_SHARD_TIMEOUT, default_jobs,
-                                   profile_corpus_sharded,
+from repro.parallel.engine import (default_jobs, profile_corpus_sharded,
                                    profile_corpus_streamed,
                                    profile_shard_worker)
 from repro.parallel.shard_cache import ShardCache
@@ -23,7 +22,7 @@ from repro.parallel.sharding import (DEFAULT_SHARD_SIZE, ProfileFolder,
                                      stream_shards)
 
 __all__ = [
-    "DEFAULT_SHARD_SIZE", "DEFAULT_SHARD_TIMEOUT", "ProfileFolder",
+    "DEFAULT_SHARD_SIZE", "ProfileFolder",
     "Shard", "ShardCache", "default_jobs", "merge_funnels",
     "merge_profiles", "partition_check", "profile_corpus_sharded",
     "profile_corpus_streamed", "profile_shard_worker", "shard_corpus",

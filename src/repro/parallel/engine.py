@@ -56,6 +56,7 @@ from itertools import chain
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
+from repro import envvars
 from repro.corpus.dataset import BlockRecord, Corpus
 from repro.corpus import streaming as corpus_streaming
 from repro.profiler.harness import (BasicBlockProfiler, CorpusProfile,
@@ -74,26 +75,9 @@ from repro.telemetry import resources
 from repro.telemetry import window
 from repro.uarch.descriptor import MachineDescriptor
 
-#: Ceiling on how long one shard may take in a worker before the
-#: parent gives up on it and falls back to the serial retry
-#: (``REPRO_SHARD_TIMEOUT`` overrides).
-DEFAULT_SHARD_TIMEOUT = 600.0
-
-
 def default_jobs() -> int:
     """``REPRO_JOBS`` if set, else every core the host offers."""
-    env = os.environ.get("REPRO_JOBS", "").strip()
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def default_shard_timeout() -> float:
-    """``REPRO_SHARD_TIMEOUT`` if set, else the 600 s default."""
-    env = os.environ.get("REPRO_SHARD_TIMEOUT", "").strip()
-    if env:
-        return max(0.1, float(env))
-    return DEFAULT_SHARD_TIMEOUT
+    return envvars.get("REPRO_JOBS") or os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +157,14 @@ def profile_shard_worker(descriptor: MachineDescriptor,
                          ) -> Tuple[int, CorpusProfile]:
     """Profile one shard in a worker process (must stay picklable).
 
-    Retained state is bounded: every
-    :func:`~repro.corpus.streaming.stream_epoch_blocks` profiled blocks
-    the worker drops its profiler cache and the compiled-plan cache,
-    so its RSS tracks the epoch, not the corpus.  Results and plans
+    Retained state is bounded: every ``REPRO_STREAM_EPOCH`` profiled
+    blocks the worker drops its profiler cache and the compiled-plan
+    cache, so its RSS tracks the epoch, not the corpus.  Results and plans
     are pure functions of (text, machine, config), so the reset
     changes no bytes.
     """
     from repro.runtime.plan import clear_plan_cache
-    epoch = corpus_streaming.stream_epoch_blocks()
+    epoch = envvars.get("REPRO_STREAM_EPOCH")
     if epoch and _WORKER_SINCE_RESET[0] >= epoch:
         _WORKER_PROFILERS.clear()
         clear_plan_cache()
@@ -494,7 +477,8 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
     *iterator* of block records (or pre-built shards) that is consumed
     exactly once — generate → digest → shard → profile → fold →
     discard.  At most ``prefetch`` shards (default
-    ``$REPRO_STREAM_PREFETCH`` × ``jobs``, never fewer than ``jobs``)
+    :data:`~repro.corpus.streaming.DEFAULT_PREFETCH_PER_JOB` × ``jobs``,
+    never fewer than ``jobs``)
     are in flight at a time, so generation overlaps profiling in the
     pool workers while the bounded window provides backpressure: peak
     RSS is a function of ``jobs`` and ``shard_size``, never of corpus
@@ -522,11 +506,11 @@ def profile_corpus_streamed(source: Union[Iterable[BlockRecord],
     """
     jobs = default_jobs() if jobs is None else max(1, jobs)
     if shard_timeout is None:
-        shard_timeout = default_shard_timeout()
+        shard_timeout = envvars.get("REPRO_SHARD_TIMEOUT")
     worker_fn = worker_fn or profile_shard_worker
     retry = retry or resilience.default_retry_policy(seed)
     if prefetch is None:
-        prefetch = corpus_streaming.default_prefetch(jobs)
+        prefetch = corpus_streaming.DEFAULT_PREFETCH_PER_JOB * jobs
     max_inflight = max(jobs, int(prefetch))
 
     shard_iter = _as_shard_stream(source, shard_size)
@@ -655,14 +639,13 @@ def _stream_serial(shard_iter: Iterator[Shard],
 
     One shared profiler across misses — the serial reference's
     memoisation semantics — but the profiler (and the compiled-plan
-    cache with it) is dropped and rebuilt every
-    :func:`~repro.corpus.streaming.stream_epoch_blocks` profiled
-    blocks: results and plans are pure functions of (text, machine,
-    config), so the reset changes no bytes while keeping retained
+    cache with it) is dropped and rebuilt every ``REPRO_STREAM_EPOCH``
+    profiled blocks: results and plans are pure functions of (text,
+    machine, config), so the reset changes no bytes while keeping retained
     state bounded by the epoch instead of the corpus length.
     """
     from repro.runtime.plan import clear_plan_cache
-    epoch = corpus_streaming.stream_epoch_blocks()
+    epoch = envvars.get("REPRO_STREAM_EPOCH")
     profiler = None
     since_reset = 0
     for shard in shard_iter:

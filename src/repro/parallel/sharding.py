@@ -26,6 +26,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
+from repro import envvars
 from repro.corpus.dataset import BlockRecord, Corpus
 from repro.profiler.harness import CorpusProfile
 
@@ -33,7 +34,7 @@ from repro.profiler.harness import CorpusProfile
 #: at the pipeline level).  Small enough that a pool keeps every worker
 #: busy at bench scales, large enough that per-shard overhead (pickle,
 #: cache file, merge) stays negligible.
-DEFAULT_SHARD_SIZE = 32
+DEFAULT_SHARD_SIZE = envvars.BY_NAME["REPRO_SHARD_SIZE"].default
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,8 @@ from repro.resilience.chaos import (CRASH_EXIT_CODE, FAULT_POINTS,
                                     ChaosSpecError)
 from repro.resilience.journal import (JOURNAL_NAME, RunJournal,
                                       journal_line, parse_journal_line)
-from repro.resilience.policy import (DEFAULT_STEP_BUDGET, RetryPolicy,
-                                     default_retry_policy,
-                                     forced_step_budget, forced_strict,
-                                     quarantine_or_raise, set_step_budget,
-                                     set_strict, step_budget,
+from repro.resilience.policy import (RetryPolicy, default_retry_policy,
+                                     quarantine_or_raise, step_budget,
                                      strict_mode)
 
 __all__ = [
@@ -35,10 +32,8 @@ __all__ = [
     # journal
     "RunJournal", "JOURNAL_NAME", "journal_line", "parse_journal_line",
     # policy
-    "RetryPolicy", "default_retry_policy", "DEFAULT_STEP_BUDGET",
-    "step_budget", "set_step_budget", "forced_step_budget",
-    "strict_mode", "set_strict", "forced_strict",
-    "quarantine_or_raise",
+    "RetryPolicy", "default_retry_policy", "step_budget",
+    "strict_mode", "quarantine_or_raise",
     # errors
     "StepBudgetExceeded", "StrictModeViolation",
 ]

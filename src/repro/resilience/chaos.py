@@ -36,15 +36,13 @@ the main process.
 from __future__ import annotations
 
 import hashlib
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
+from repro import envvars
 from repro.errors import ChaosFault
 from repro.telemetry import core as telemetry
-
-ENV_VAR = "REPRO_CHAOS"
 
 #: Fault points woven through the batch pipeline, in pipeline order.
 PIPELINE_FAULT_POINTS: Tuple[str, ...] = (
@@ -165,16 +163,12 @@ class ChaosPolicy:
 
 
 # ---------------------------------------------------------------------------
-# Process-wide switchboard (mirrors repro.simcore.config)
+# Process-wide switch
 # ---------------------------------------------------------------------------
 
 #: Programmatic override; ``None`` defers to the environment.
 _override: Optional[ChaosPolicy] = None
 _OVERRIDE_OFF = ChaosPolicy(seed=0)  # sentinel for "forced off"
-
-#: Parsed-env memo: (raw env string, policy) so ``active()`` stays a
-#: dict lookup on the hot path instead of a parse.
-_env_cache: Tuple[Optional[str], Optional[ChaosPolicy]] = (None, None)
 
 #: Set by the pool-worker initialiser; worker-only faults key off it.
 _in_worker = False
@@ -182,16 +176,9 @@ _in_worker = False
 
 def active() -> Optional[ChaosPolicy]:
     """The armed policy, or ``None`` when chaos is off (the default)."""
-    global _env_cache
     if _override is not None:
         return None if _override is _OVERRIDE_OFF else _override
-    raw = os.environ.get(ENV_VAR)
-    if not raw or not raw.strip():
-        return None
-    cached_raw, cached_policy = _env_cache
-    if raw != cached_raw:
-        _env_cache = (raw, ChaosPolicy.parse(raw))
-    return _env_cache[1]
+    return envvars.get("REPRO_CHAOS")
 
 
 def set_policy(policy: Optional[ChaosPolicy]) -> None:

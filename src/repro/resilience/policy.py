@@ -20,58 +20,23 @@ Three knobs, all deterministic and all environment-overridable:
 
 from __future__ import annotations
 
-import os
 import time
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple, Type
+from typing import Callable, Optional, Tuple, Type
 
+from repro import envvars
 from repro.errors import StrictModeViolation
 from repro.telemetry import core as telemetry
 
-ENV_STRICT = "REPRO_STRICT"
-ENV_STEP_BUDGET = "REPRO_STEP_BUDGET"
-
-#: Default per-``execute_block`` step ceiling.  The deepest legitimate
-#: run the pipeline produces (latency/port benches: ~1k-instruction
-#: unrolled bodies at unroll ~1000) stays well under 10^6 steps; the
-#: ceiling exists to convert runaways into quarantines, not to shave
-#: honest work.
-DEFAULT_STEP_BUDGET = 8_000_000
-
-_TRUTHY = ("1", "true", "yes", "on")
-
 
 # ---------------------------------------------------------------------------
-# Strict / salvage mode
+# Strict / salvage mode and the step budget
 # ---------------------------------------------------------------------------
-
-_strict_override: Optional[bool] = None
-
 
 def strict_mode() -> bool:
     """Is ``--strict`` active? (salvage — ``False`` — is the default)"""
-    if _strict_override is not None:
-        return _strict_override
-    return os.environ.get(ENV_STRICT, "").strip().lower() in _TRUTHY
-
-
-def set_strict(value: Optional[bool]) -> None:
-    """Force strict/salvage; ``None`` defers to ``$REPRO_STRICT``."""
-    global _strict_override
-    _strict_override = None if value is None else bool(value)
-
-
-@contextmanager
-def forced_strict(value: bool) -> Iterator[None]:
-    global _strict_override
-    saved = _strict_override
-    _strict_override = bool(value)
-    try:
-        yield
-    finally:
-        _strict_override = saved
+    return envvars.get("REPRO_STRICT")
 
 
 def quarantine_or_raise(what: str, detail: str = "") -> None:
@@ -84,43 +49,16 @@ def quarantine_or_raise(what: str, detail: str = "") -> None:
         raise StrictModeViolation(what, detail)
 
 
-# ---------------------------------------------------------------------------
-# Step budget
-# ---------------------------------------------------------------------------
-
-_budget_override: Optional[int] = None
-_budget_env_cache: Tuple[Optional[str], int] = (None,
-                                                DEFAULT_STEP_BUDGET)
-
-
 def step_budget() -> int:
-    """Per-``execute_block`` step ceiling (``REPRO_STEP_BUDGET``)."""
-    global _budget_env_cache
-    if _budget_override is not None:
-        return _budget_override
-    raw = os.environ.get(ENV_STEP_BUDGET)
-    if not raw or not raw.strip():
-        return DEFAULT_STEP_BUDGET
-    cached_raw, cached = _budget_env_cache
-    if raw != cached_raw:
-        _budget_env_cache = (raw, max(1, int(raw)))
-    return _budget_env_cache[1]
+    """Per-``execute_block`` step ceiling (``REPRO_STEP_BUDGET``).
 
-
-def set_step_budget(value: Optional[int]) -> None:
-    global _budget_override
-    _budget_override = None if value is None else max(1, int(value))
-
-
-@contextmanager
-def forced_step_budget(value: int) -> Iterator[None]:
-    global _budget_override
-    saved = _budget_override
-    _budget_override = max(1, int(value))
-    try:
-        yield
-    finally:
-        _budget_override = saved
+    The default (8,000,000) sits far above the deepest legitimate run
+    the pipeline produces (latency/port benches: ~1k-instruction
+    unrolled bodies at unroll ~1000 stay well under 10^6 steps); the
+    ceiling exists to convert runaways into quarantines, not to shave
+    honest work.
+    """
+    return envvars.get("REPRO_STEP_BUDGET")
 
 
 # ---------------------------------------------------------------------------

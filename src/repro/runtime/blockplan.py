@@ -1,12 +1,12 @@
-"""Kill-switch configuration for block-compiled execution plans.
+"""Kill switch for block-compiled execution plans.
 
 Mirrors :mod:`repro.simcore.config` (the fast-path switch): plans are
-on by default, can be disabled for a process via ``REPRO_NO_BLOCKPLAN``
-or ``set_enabled(False)``, and tests/benches can force either setting
-within a scope via :func:`forced`.  Lives in its own dependency-free
-module so :mod:`repro.runtime.memory`, :mod:`repro.runtime.executor`,
-the CLI and the tests can all import it without touching the
-executor↔plan import cycle.
+on by default, and are disabled for a process by ``REPRO_NO_BLOCKPLAN``
+(which pool workers inherit) or, in tests and benches, within a scope
+by ``envvars.forced("REPRO_NO_BLOCKPLAN", True)``.  Lives in its own
+dependency-free module so :mod:`repro.runtime.memory`,
+:mod:`repro.runtime.executor`, the CLI and the tests can all import it
+without touching the executor↔plan import cycle.
 
 The differential suite and the ``blockplan-differential`` CI leg prove
 that flipping this switch never changes a single serialized byte of
@@ -15,41 +15,9 @@ any profile — it only changes how fast the bytes are produced.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator, Optional
-
-#: Set to a truthy value ("1", "true", "yes", "on") to disable block
-#: plans for the whole process, including pool workers that inherit
-#: the environment.
-ENV_VAR = "REPRO_NO_BLOCKPLAN"
-
-_DISABLING = ("1", "true", "yes", "on")
-
-#: Programmatic override; ``None`` defers to the environment.
-_override: Optional[bool] = None
+from repro import envvars
 
 
 def enabled() -> bool:
     """True when block-compiled plans should be used."""
-    if _override is not None:
-        return _override
-    return os.environ.get(ENV_VAR, "").strip().lower() not in _DISABLING
-
-
-def set_enabled(value: Optional[bool]) -> None:
-    """Set the programmatic override (``None`` restores env control)."""
-    global _override
-    _override = value
-
-
-@contextmanager
-def forced(value: bool) -> Iterator[None]:
-    """Force plans on/off within a scope (tests and benchmarks)."""
-    global _override
-    previous = _override
-    _override = value
-    try:
-        yield
-    finally:
-        _override = previous
+    return not envvars.get("REPRO_NO_BLOCKPLAN")

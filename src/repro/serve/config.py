@@ -1,59 +1,20 @@
-"""Service configuration: one dataclass, env-var defaults, CLI wins.
+"""Service configuration: one immutable dataclass, built from the CLI.
 
-Every knob has a ``REPRO_SERVE_*`` environment variable (registered in
-:mod:`repro.envvars`, group ``serve``) so operators can tune a deployed
-daemon without editing unit files; the matching ``repro serve`` CLI
-flag, when given, takes precedence.  All parsing is defensive — a
-malformed value falls back to the default rather than refusing to
-start, because a service that fails to boot over a typo'd env var is
-itself a robustness bug.
+``repro serve`` fills it from the flags it was given; a flag left out
+keeps the default below.  Two fields read the registry
+(:mod:`repro.envvars`) instead: ``REPRO_SERVE_WINDOW``, and the
+deployment path ``REPRO_SERVE_STATE``, whose default is the ``serve/``
+subdirectory of the pipeline cache root (``REPRO_CACHE``), so the
+daemon and the batch CLI share one cache tree.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
-#: Env-var name -> (attribute, parser, default).  The single source the
-#: dataclass defaults and ``from_env`` both draw from.
-_ENV_FLOAT = float
-_ENV_INT = int
-
-DEFAULT_QUEUE = 64
-DEFAULT_DEADLINE_MS = 30_000
-DEFAULT_RATE = 0.0          # tokens/second per client; 0 = unlimited
-DEFAULT_BURST = 16
-DEFAULT_BATCH = 64
-DEFAULT_COALESCE_MS = 5.0
-DEFAULT_BREAKER_THRESHOLD = 3
-DEFAULT_BREAKER_COOLDOWN_S = 5.0
-DEFAULT_WINDOW = 32
-DEFAULT_DRAIN_S = 10.0
-
-
-def _env_number(name: str, default, parse):
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        return parse(raw)
-    except ValueError:
-        return default
-
-
-def default_state_dir() -> str:
-    """Where the daemon keeps its journal and per-uarch shard caches.
-
-    ``$REPRO_SERVE_STATE`` wins; otherwise a ``serve/`` subdirectory of
-    the pipeline cache root (``$REPRO_CACHE`` or ``.cache``), so the
-    daemon and the batch CLI share one cache tree by default.
-    """
-    explicit = os.environ.get("REPRO_SERVE_STATE")
-    if explicit:
-        return explicit
-    root = os.environ.get("REPRO_CACHE") or ".cache"
-    return os.path.join(root, "serve")
+from repro import envvars
 
 
 @dataclass(frozen=True)
@@ -69,61 +30,27 @@ class ServeConfig:
     jobs: int = 1
 
     #: Bounded admission queue capacity; a full queue sheds with 429.
-    queue_size: int = DEFAULT_QUEUE
+    queue_size: int = 64
     #: Default per-request deadline when the client sends none.
-    deadline_ms: float = DEFAULT_DEADLINE_MS
+    deadline_ms: float = 30_000
     #: Per-client token-bucket refill rate (req/s); 0 disables limits.
-    rate: float = DEFAULT_RATE
+    rate: float = 0.0
     #: Token-bucket burst capacity.
-    burst: int = DEFAULT_BURST
+    burst: int = 16
     #: Max requests coalesced into one engine batch.
-    batch_size: int = DEFAULT_BATCH
+    batch_size: int = 64
     #: How long the batcher lingers for more requests to coalesce.
-    coalesce_ms: float = DEFAULT_COALESCE_MS
+    coalesce_ms: float = 5.0
     #: Consecutive worker-trouble batches before the breaker opens.
-    breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD
+    breaker_threshold: int = 3
     #: Seconds the breaker stays open before a half-open probe.
-    breaker_cooldown_s: float = DEFAULT_BREAKER_COOLDOWN_S
+    breaker_cooldown_s: float = 5.0
     #: Completed requests per serve-metrics window.
-    window: int = DEFAULT_WINDOW
+    window: int = field(
+        default_factory=lambda: envvars.get("REPRO_SERVE_WINDOW"))
     #: Ceiling on graceful SIGTERM drain before forced shutdown.
-    drain_s: float = DEFAULT_DRAIN_S
+    drain_s: float = 10.0
     #: State directory (request journal + per-uarch shard caches).
-    state_dir: str = field(default_factory=default_state_dir)
-
-    @classmethod
-    def from_env(cls, **overrides) -> "ServeConfig":
-        """Env-var defaults, then explicit keyword overrides on top.
-
-        ``None`` overrides are dropped so argparse defaults of ``None``
-        mean "not given on the command line".
-        """
-        cfg = cls(
-            queue_size=max(1, _env_number(
-                "REPRO_SERVE_QUEUE", DEFAULT_QUEUE, _ENV_INT)),
-            deadline_ms=_env_number(
-                "REPRO_SERVE_DEADLINE_MS", DEFAULT_DEADLINE_MS,
-                _ENV_FLOAT),
-            rate=max(0.0, _env_number(
-                "REPRO_SERVE_RATE", DEFAULT_RATE, _ENV_FLOAT)),
-            burst=max(1, _env_number(
-                "REPRO_SERVE_BURST", DEFAULT_BURST, _ENV_INT)),
-            batch_size=max(1, _env_number(
-                "REPRO_SERVE_BATCH", DEFAULT_BATCH, _ENV_INT)),
-            coalesce_ms=max(0.0, _env_number(
-                "REPRO_SERVE_COALESCE_MS", DEFAULT_COALESCE_MS,
-                _ENV_FLOAT)),
-            breaker_threshold=max(1, _env_number(
-                "REPRO_SERVE_BREAKER", DEFAULT_BREAKER_THRESHOLD,
-                _ENV_INT)),
-            breaker_cooldown_s=max(0.0, _env_number(
-                "REPRO_SERVE_BREAKER_COOLDOWN_S",
-                DEFAULT_BREAKER_COOLDOWN_S, _ENV_FLOAT)),
-            window=max(1, _env_number(
-                "REPRO_SERVE_WINDOW", DEFAULT_WINDOW, _ENV_INT)),
-            drain_s=max(0.0, _env_number(
-                "REPRO_SERVE_DRAIN_S", DEFAULT_DRAIN_S, _ENV_FLOAT)),
-            state_dir=default_state_dir(),
-        )
-        cleaned = {k: v for k, v in overrides.items() if v is not None}
-        return replace(cfg, **cleaned) if cleaned else cfg
+    state_dir: str = field(
+        default_factory=lambda: envvars.get("REPRO_SERVE_STATE")
+        or os.path.join(envvars.get("REPRO_CACHE"), "serve"))

@@ -24,6 +24,6 @@ Everything is guarded by one switch (:mod:`repro.simcore.config`):
 environment falls back to full simulation everywhere.
 """
 
-from repro.simcore.config import enabled, forced, set_enabled
+from repro.simcore.config import enabled
 
-__all__ = ["enabled", "forced", "set_enabled"]
+__all__ = ["enabled"]

@@ -36,12 +36,11 @@ from repro.telemetry.core import (MemorySink, NdjsonSink, NullSink, Span,
 from repro.telemetry.metrics import (Counter, Gauge, Histogram,
                                      MetricsRegistry)
 from repro.telemetry.cachestats import CacheStats
-from repro.telemetry.report import (build_run_report, default_report_dir,
-                                    funnel_from_counters, render_summary,
-                                    write_run_report)
+from repro.telemetry.report import (build_run_report, funnel_from_counters,
+                                    render_summary, write_run_report)
 from repro.telemetry.resources import (peak_rss_kb, resources_section,
                                        sample_peak_rss)
-from repro.telemetry.window import WindowAggregator, default_window_size
+from repro.telemetry.window import WindowAggregator
 
 __all__ = [
     # hub + lifecycle
@@ -54,9 +53,9 @@ __all__ = [
     # metrics
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     # unified cache telemetry + windowed series
-    "CacheStats", "WindowAggregator", "default_window_size",
+    "CacheStats", "WindowAggregator",
     # reports + process resources
     "build_run_report", "render_summary", "write_run_report",
-    "default_report_dir", "funnel_from_counters",
+    "funnel_from_counters",
     "peak_rss_kb", "sample_peak_rss", "resources_section",
 ]

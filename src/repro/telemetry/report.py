@@ -17,18 +17,15 @@ import os
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import envvars
 from repro.telemetry import cachestats, profiling, resources, window
 from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["build_run_report", "render_summary", "write_run_report",
-           "default_report_dir", "funnel_from_counters"]
+           "funnel_from_counters"]
 
 #: Counter prefix the profiler uses for per-reason drop counts.
 FAILURE_PREFIX = "profiler.failure."
-
-
-def default_report_dir() -> str:
-    return os.environ.get("REPRO_REPORT_DIR", "reports")
 
 
 #: Informational funnel tallies: surfaced alongside the accept/drop
@@ -349,7 +346,7 @@ def render_summary(report: Dict) -> str:
 def write_run_report(report: Dict,
                      directory: Optional[str] = None) -> Tuple[str, str]:
     """Persist ``<name>.json`` + ``<name>.txt``; returns both paths."""
-    directory = directory or default_report_dir()
+    directory = directory or envvars.get("REPRO_REPORT_DIR")
     os.makedirs(directory, exist_ok=True)
     base = os.path.join(directory, report["report"])
     json_path, txt_path = base + ".json", base + ".txt"

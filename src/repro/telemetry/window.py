@@ -38,30 +38,19 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 import zlib
 from typing import Dict, List, Optional
 
+from repro import envvars
 from repro.telemetry import core
 
-__all__ = ["WindowAggregator", "default_window_size", "ledger",
-           "deposit_run", "runs", "DEFAULT_WINDOW_SIZE",
+__all__ = ["WindowAggregator", "ledger", "deposit_run", "runs",
            "DEFAULT_RESERVOIR"]
 
-#: Blocks per window (``REPRO_WINDOW`` overrides).
-DEFAULT_WINDOW_SIZE = 64
-
-#: Maximum samples retained per window.  >= the default window size,
-#: so windows are exact unless the user asks for very wide ones.
+#: Maximum samples retained per window.  >= the default window size
+#: (``REPRO_WINDOW``, 64 blocks), so windows are exact unless the user
+#: asks for very wide ones.
 DEFAULT_RESERVOIR = 1024
-
-
-def default_window_size() -> int:
-    """``REPRO_WINDOW`` if set, else 64 blocks per window."""
-    env = os.environ.get("REPRO_WINDOW", "").strip()
-    if env:
-        return max(1, int(env))
-    return DEFAULT_WINDOW_SIZE
 
 
 def _sample_key(label: str, window: int, index: int) -> int:
@@ -108,7 +97,7 @@ class WindowAggregator:
             raise ValueError(f"total must be >= 0, got {total}")
         self.label = label
         self.total = total
-        self.window_size = window_size or default_window_size()
+        self.window_size = window_size or envvars.get("REPRO_WINDOW")
         if self.window_size < 1:
             raise ValueError("window_size must be >= 1")
         self.reservoir = max(1, reservoir)

@@ -15,11 +15,12 @@ import pytest
 
 from repro.corpus.dataset import (DEFAULT_APPS, BlockRecord,
                                   build_application, build_corpus)
-from repro.corpus.streaming import (corpus_spec_digest,
-                                    default_prefetch, iter_application,
+from repro.corpus.streaming import (DEFAULT_PREFETCH_PER_JOB,
+                                    corpus_spec_digest, iter_application,
                                     iter_corpus)
 from repro.isa.parser import parse_block
-from repro.parallel import shard_corpus, stream_shards
+from repro.parallel import (profile_corpus_streamed, shard_corpus,
+                            stream_shards)
 
 try:
     from hypothesis import given, settings
@@ -76,12 +77,16 @@ class TestSpecDigest:
 
 
 class TestEnvSwitches:
-    def test_default_prefetch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STREAM_PREFETCH", raising=False)
-        assert default_prefetch(4) == 8
-        assert default_prefetch(1) == 2
-        monkeypatch.setenv("REPRO_STREAM_PREFETCH", "3")
-        assert default_prefetch(2) == 6
+    def test_default_prefetch(self):
+        """Without ``prefetch=``, at most DEFAULT_PREFETCH_PER_JOB
+        shards per worker are in flight."""
+        records = build_application("gzip", count=12, seed=3).records
+        stats = {}
+        profile_corpus_streamed(iter(records), "haswell", seed=3,
+                                jobs=2, shard_size=1, stats=stats)
+        assert stats["shards"] == 12
+        assert 1 <= stats["max_queue_depth"] \
+            <= DEFAULT_PREFETCH_PER_JOB * 2
 
 
 # ---------------------------------------------------------------------------

@@ -170,11 +170,11 @@ def test_streamed_run_is_rerunnable_from_journal(tmp_path):
     assert second_stats["profiled"] == 0
 
 
-def test_prefetch_depth_does_not_change_bytes(monkeypatch):
+def test_prefetch_depth_does_not_change_bytes():
     records = _records(count=24)
     payloads = set()
-    for prefetch in ("1", "2", "5"):
-        monkeypatch.setenv("REPRO_STREAM_PREFETCH", prefetch)
+    for prefetch in (1, 2, 5, None):
         payloads.add(_payload(profile_corpus_streamed(
-            iter(records), "haswell", seed=5, jobs=2, shard_size=3)))
+            iter(records), "haswell", seed=5, jobs=2, shard_size=3,
+            prefetch=prefetch)))
     assert len(payloads) == 1

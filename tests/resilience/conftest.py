@@ -1,24 +1,18 @@
-"""Isolation for the process-wide resilience switchboards."""
+"""Isolation for the process-wide resilience switches."""
 
 import pytest
 
 from repro import telemetry
 from repro.resilience import chaos
-from repro.resilience import policy
 
 
 @pytest.fixture(autouse=True)
 def _isolate_resilience(monkeypatch):
     """Fresh telemetry + no inherited chaos/strict/budget state."""
-    monkeypatch.delenv(chaos.ENV_VAR, raising=False)
-    monkeypatch.delenv(policy.ENV_STRICT, raising=False)
-    monkeypatch.delenv(policy.ENV_STEP_BUDGET, raising=False)
+    for name in ("REPRO_CHAOS", "REPRO_STRICT", "REPRO_STEP_BUDGET"):
+        monkeypatch.delenv(name, raising=False)
     chaos.set_policy(None)
-    policy.set_strict(None)
-    policy.set_step_budget(None)
     telemetry.reset()
     yield
     chaos.set_policy(None)
-    policy.set_strict(None)
-    policy.set_step_budget(None)
     telemetry.reset()

@@ -18,14 +18,13 @@ import tempfile
 
 import pytest
 
-from repro import telemetry
+from repro import envvars, telemetry
 from repro.corpus.dataset import build_application
 from repro.errors import StrictModeViolation
 from repro.eval.pipeline import _load_cache, _store_cache
 from repro.parallel import (ShardCache, profile_corpus_sharded,
                             shard_corpus)
 from repro.parallel.engine import _load_verified
-from repro.resilience import policy
 
 try:
     from hypothesis import HealthCheck, given, settings
@@ -176,7 +175,7 @@ class TestV3Recovery:
         path = cache.path_for(shards[0])
         with open(path, "w") as fh:
             fh.write("not json")
-        with policy.forced_strict(True):
+        with envvars.forced("REPRO_STRICT", True):
             with pytest.raises(StrictModeViolation):
                 cache.load(shards[0])
         assert os.path.exists(path)  # strict mode does not move it
@@ -256,7 +255,7 @@ class TestLegacyStrict:
         path = _legacy_path()
         with open(path, "w") as fh:
             fh.write("not json")
-        with policy.forced_strict(True):
+        with envvars.forced("REPRO_STRICT", True):
             with pytest.raises(StrictModeViolation):
                 _load_cache(path)
         assert os.path.exists(path)

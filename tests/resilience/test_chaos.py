@@ -111,20 +111,20 @@ class TestSwitchboard:
         assert not chaos.should_fire("disk_full", "k")
 
     def test_env_arms(self, monkeypatch):
-        monkeypatch.setenv(chaos.ENV_VAR, "4:disk_full=1")
+        monkeypatch.setenv("REPRO_CHAOS", "4:disk_full=1")
         policy = chaos.active()
         assert policy is not None
         assert policy.seed == 4
         assert chaos.should_fire("disk_full", "anything")
 
     def test_env_cache_tracks_changes(self, monkeypatch):
-        monkeypatch.setenv(chaos.ENV_VAR, "4:disk_full=1")
+        monkeypatch.setenv("REPRO_CHAOS", "4:disk_full=1")
         assert chaos.active().seed == 4
-        monkeypatch.setenv(chaos.ENV_VAR, "5:disk_full=1")
+        monkeypatch.setenv("REPRO_CHAOS", "5:disk_full=1")
         assert chaos.active().seed == 5
 
     def test_forced_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(chaos.ENV_VAR, "4:disk_full=1")
+        monkeypatch.setenv("REPRO_CHAOS", "4:disk_full=1")
         with chaos.forced(ChaosPolicy(seed=8)):
             assert chaos.active().seed == 8
         with chaos.forced(None):  # forces chaos OFF despite env

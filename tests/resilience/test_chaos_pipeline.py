@@ -104,7 +104,7 @@ class TestAllFaultsAcceptance:
                                                   tmp_path,
                                                   monkeypatch):
         telemetry.enable()
-        monkeypatch.setenv(chaos.ENV_VAR, ALL_FAULTS_SPEC)
+        monkeypatch.setenv("REPRO_CHAOS", ALL_FAULTS_SPEC)
         plan, disk = _fault_plan(ChaosPolicy.parse(ALL_FAULTS_SPEC),
                                  shards, corpus)
         cache = ShardCache(str(tmp_path / "cache"))
@@ -142,7 +142,7 @@ class TestAllFaultsAcceptance:
 
         # Next run, chaos off: corrupted survivors are quarantined and
         # healed, nothing crashes, the funnel still reconciles.
-        monkeypatch.delenv(chaos.ENV_VAR)
+        monkeypatch.delenv("REPRO_CHAOS")
         healed = profile_corpus_sharded(corpus, "haswell", seed=0,
                                         jobs=1, shards=shards,
                                         cache=cache)
@@ -157,7 +157,7 @@ class TestAllFaultsAcceptance:
 class TestTransparentChaos:
     def test_output_bytes_are_unchanged(self, corpus, shards, baseline,
                                         tmp_path, monkeypatch):
-        monkeypatch.setenv(chaos.ENV_VAR, TRANSPARENT_SPEC)
+        monkeypatch.setenv("REPRO_CHAOS", TRANSPARENT_SPEC)
         cache = ShardCache(str(tmp_path / "cache"))
         pooled = profile_corpus_sharded(corpus, "haswell", seed=0,
                                         jobs=2, shards=shards,
@@ -167,7 +167,7 @@ class TestTransparentChaos:
     def test_serial_run_is_also_unchanged(self, corpus, shards,
                                           baseline, tmp_path,
                                           monkeypatch):
-        monkeypatch.setenv(chaos.ENV_VAR, TRANSPARENT_SPEC)
+        monkeypatch.setenv("REPRO_CHAOS", TRANSPARENT_SPEC)
         cache = ShardCache(str(tmp_path / "cache"))
         serial = profile_corpus_sharded(corpus, "haswell", seed=0,
                                         jobs=1, shards=shards,

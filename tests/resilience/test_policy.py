@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import telemetry
+from repro import envvars, telemetry
 from repro.errors import StepBudgetExceeded, StrictModeViolation
 from repro.isa.parser import parse_block
 from repro.profiler import BasicBlockProfiler
@@ -98,24 +98,24 @@ class TestStrictSalvage:
         policy.quarantine_or_raise("anything")  # no raise
 
     def test_env_arms_strict(self, monkeypatch):
-        monkeypatch.setenv(policy.ENV_STRICT, "1")
+        monkeypatch.setenv("REPRO_STRICT", "1")
         assert policy.strict_mode()
         with pytest.raises(StrictModeViolation):
             policy.quarantine_or_raise("corrupt file", "detail")
 
     def test_env_zero_is_salvage(self, monkeypatch):
-        monkeypatch.setenv(policy.ENV_STRICT, "0")
+        monkeypatch.setenv("REPRO_STRICT", "0")
         assert not policy.strict_mode()
 
     def test_forced_strict_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(policy.ENV_STRICT, "1")
-        with policy.forced_strict(False):
+        monkeypatch.setenv("REPRO_STRICT", "1")
+        with envvars.forced("REPRO_STRICT", False):
             policy.quarantine_or_raise("ok in salvage")
         with pytest.raises(StrictModeViolation):
             policy.quarantine_or_raise("strict again")
 
     def test_violation_carries_what_and_detail(self):
-        with policy.forced_strict(True):
+        with envvars.forced("REPRO_STRICT", True):
             with pytest.raises(StrictModeViolation) as err:
                 policy.quarantine_or_raise("the what", "the detail")
         assert err.value.what == "the what"
@@ -124,18 +124,18 @@ class TestStrictSalvage:
 
 class TestStepBudget:
     def test_default(self):
-        assert policy.step_budget() == policy.DEFAULT_STEP_BUDGET
+        assert policy.step_budget() == 8_000_000
 
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(policy.ENV_STEP_BUDGET, "1234")
+        monkeypatch.setenv("REPRO_STEP_BUDGET", "1234")
         assert policy.step_budget() == 1234
-        monkeypatch.setenv(policy.ENV_STEP_BUDGET, "99")
+        monkeypatch.setenv("REPRO_STEP_BUDGET", "99")
         assert policy.step_budget() == 99
 
     def test_forced_budget_restores(self):
-        with policy.forced_step_budget(10):
+        with envvars.forced("REPRO_STEP_BUDGET", 10):
             assert policy.step_budget() == 10
-        assert policy.step_budget() == policy.DEFAULT_STEP_BUDGET
+        assert policy.step_budget() == 8_000_000
 
     def test_executor_trips_the_watchdog(self, haswell):
         from repro.profiler.environment import Environment
@@ -143,7 +143,7 @@ class TestStepBudget:
         env = Environment()
         env.reset()
         executor = Executor(env.state, env.memory)
-        with policy.forced_step_budget(5):
+        with envvars.forced("REPRO_STEP_BUDGET", 5):
             with pytest.raises(StepBudgetExceeded) as err:
                 executor.execute_block(block, unroll=100)
         assert err.value.budget == 5
@@ -154,7 +154,7 @@ class TestStepBudget:
 
     def test_harness_quarantines_a_tripped_block(self):
         profiler = BasicBlockProfiler(Machine("haswell"))
-        with policy.forced_step_budget(1):
+        with envvars.forced("REPRO_STEP_BUDGET", 1):
             result = profiler.profile("add $1, %rax\nadd $1, %rbx")
         assert result.failure is FailureReason.QUARANTINED
         assert "StepBudgetExceeded" in result.detail
@@ -162,6 +162,7 @@ class TestStepBudget:
 
     def test_harness_raises_in_strict_mode(self):
         profiler = BasicBlockProfiler(Machine("haswell"))
-        with policy.forced_step_budget(1), policy.forced_strict(True):
+        with envvars.forced("REPRO_STEP_BUDGET", 1), \
+                envvars.forced("REPRO_STRICT", True):
             with pytest.raises(StrictModeViolation):
                 profiler.profile("add $1, %rax\nadd $1, %rbx")

@@ -11,6 +11,7 @@ page-translation fast path are pinned separately.
 
 import pytest
 
+from repro import envvars
 from repro.errors import ArithmeticFault, MemoryFault
 from repro.isa.parser import parse_block
 from repro.runtime import blockplan, plan
@@ -32,7 +33,7 @@ def _trace_fingerprint(trace):
 
 def _run(text: str, enabled: bool, unroll: int = 1, ftz: bool = False):
     """Fresh machine -> (gpr, vec, flags, rip, trace fingerprint)."""
-    with blockplan.forced(enabled):
+    with envvars.forced("REPRO_NO_BLOCKPLAN", not enabled):
         h = Harness(ftz=ftz)
         trace = h.run(text, unroll=unroll)
         return (dict(h.state.gpr), dict(h.state.vec),
@@ -174,7 +175,7 @@ def test_memory_fault_identical_without_mapping():
     block = parse_block("add %rax, %rbx\nmov (%r14), %rcx")
     faults = []
     for enabled in (True, False):
-        with blockplan.forced(enabled):
+        with envvars.forced("REPRO_NO_BLOCKPLAN", not enabled):
             ex = _fresh_executor()
             with pytest.raises(MemoryFault) as excinfo:
                 ex.execute_block(block, unroll=1)
@@ -186,7 +187,7 @@ def test_memory_fault_identical_without_mapping():
 def test_arithmetic_fault_identical_through_fallback():
     block = parse_block("xor %edx, %edx\nxor %ecx, %ecx\ndiv %rcx")
     for enabled in (True, False):
-        with blockplan.forced(enabled):
+        with envvars.forced("REPRO_NO_BLOCKPLAN", not enabled):
             ex = _fresh_executor()
             with pytest.raises(ArithmeticFault):
                 ex.execute_block(block, unroll=1)
@@ -198,22 +199,18 @@ def test_arithmetic_fault_identical_through_fallback():
 
 def test_env_var_disables_blockplan(monkeypatch):
     monkeypatch.setenv("REPRO_NO_BLOCKPLAN", "1")
-    blockplan.set_enabled(None)  # defer to the environment
-    try:
-        assert not blockplan.enabled()
-        monkeypatch.setenv("REPRO_NO_BLOCKPLAN", "0")
-        assert blockplan.enabled()
-        monkeypatch.delenv("REPRO_NO_BLOCKPLAN")
-        assert blockplan.enabled()
-    finally:
-        blockplan.set_enabled(None)
+    assert not blockplan.enabled()
+    monkeypatch.setenv("REPRO_NO_BLOCKPLAN", "0")
+    assert blockplan.enabled()
+    monkeypatch.delenv("REPRO_NO_BLOCKPLAN")
+    assert blockplan.enabled()
 
 
 def test_forced_restores_previous_setting():
     assert blockplan.enabled()
-    with blockplan.forced(False):
+    with envvars.forced("REPRO_NO_BLOCKPLAN", True):
         assert not blockplan.enabled()
-        with blockplan.forced(True):
+        with envvars.forced("REPRO_NO_BLOCKPLAN", False):
             assert blockplan.enabled()
         assert not blockplan.enabled()
     assert blockplan.enabled()
@@ -227,7 +224,7 @@ ADDR = 0x40000
 
 
 def test_fast_path_sees_fill_through_cached_page_object():
-    with blockplan.forced(True):
+    with envvars.forced("REPRO_NO_BLOCKPLAN", False):
         memory = VirtualMemory()
         frame = PhysicalPage()
         frame.fill(0x11111100)
@@ -242,7 +239,7 @@ def test_fast_path_sees_fill_through_cached_page_object():
 
 
 def test_fast_path_invalidated_by_remap_and_unmap():
-    with blockplan.forced(True):
+    with envvars.forced("REPRO_NO_BLOCKPLAN", False):
         memory = VirtualMemory()
         a, b = PhysicalPage(), PhysicalPage()
         a.fill(0xAAAAAA00)
@@ -259,7 +256,7 @@ def test_fast_path_invalidated_by_remap_and_unmap():
 
 
 def test_fast_path_defers_on_page_spanning_access():
-    with blockplan.forced(True):
+    with envvars.forced("REPRO_NO_BLOCKPLAN", False):
         memory = VirtualMemory()
         a, b = PhysicalPage(), PhysicalPage()
         memory.map_page(page_of(ADDR), a)
@@ -272,7 +269,7 @@ def test_fast_path_defers_on_page_spanning_access():
 
 
 def test_fast_path_not_seeded_when_disabled():
-    with blockplan.forced(False):
+    with envvars.forced("REPRO_NO_BLOCKPLAN", True):
         memory = VirtualMemory()
         frame = PhysicalPage()
         memory.map_page(page_of(ADDR), frame)

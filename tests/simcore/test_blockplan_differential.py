@@ -17,11 +17,10 @@ import json
 
 import pytest
 
+from repro import envvars
 from repro.corpus.dataset import build_application
 from repro.eval.validation import profile_corpus_detailed
 from repro.parallel import profile_corpus_sharded
-from repro.runtime import blockplan
-from repro.simcore import config as simcore
 
 UARCHES = ("ivybridge", "haswell", "skylake")
 
@@ -36,12 +35,12 @@ def _payload(profile) -> str:
 def test_blockplan_bit_identical_serial_and_pool(uarch, monkeypatch):
     corpus = build_application("llvm", count=18, seed=5)
     monkeypatch.setenv("REPRO_NO_BLOCKPLAN", "1")
-    with blockplan.forced(False):
+    with envvars.forced("REPRO_NO_BLOCKPLAN", True):
         interpreted = profile_corpus_detailed(corpus, uarch, seed=5)
         pool_off = profile_corpus_sharded(corpus, uarch, seed=5,
                                           jobs=2, shard_size=8)
     monkeypatch.delenv("REPRO_NO_BLOCKPLAN")
-    with blockplan.forced(True):
+    with envvars.forced("REPRO_NO_BLOCKPLAN", False):
         compiled = profile_corpus_detailed(corpus, uarch, seed=5)
         pool_on = profile_corpus_sharded(corpus, uarch, seed=5,
                                          jobs=2, shard_size=8)
@@ -64,9 +63,9 @@ def test_blockplan_bit_identical_serial_and_pool(uarch, monkeypatch):
 def test_vector_corpus_identical(uarch):
     """Vector-heavy blocks (and the Ivy Bridge AVX2 drop path) too."""
     corpus = build_application("openblas", count=16, seed=9)
-    with blockplan.forced(False):
+    with envvars.forced("REPRO_NO_BLOCKPLAN", True):
         interpreted = profile_corpus_detailed(corpus, uarch, seed=9)
-    with blockplan.forced(True):
+    with envvars.forced("REPRO_NO_BLOCKPLAN", False):
         compiled = profile_corpus_detailed(corpus, uarch, seed=9)
     assert _payload(interpreted) == _payload(compiled)
 
@@ -75,11 +74,11 @@ def test_blockplan_identical_with_fastpath_off():
     """Plans are orthogonal to the simcore fast path: with full
     simulation forced, flipping plans still changes no byte."""
     corpus = build_application("gzip", count=10, seed=3)
-    with simcore.forced(False):
-        with blockplan.forced(False):
+    with envvars.forced("REPRO_NO_FASTPATH", True):
+        with envvars.forced("REPRO_NO_BLOCKPLAN", True):
             interpreted = profile_corpus_detailed(corpus, "haswell",
                                                   seed=3)
-        with blockplan.forced(True):
+        with envvars.forced("REPRO_NO_BLOCKPLAN", False):
             compiled = profile_corpus_detailed(corpus, "haswell",
                                                seed=3)
     assert _payload(interpreted) == _payload(compiled)

@@ -10,9 +10,9 @@ were sloppier, pinned so it never does.
 
 import json
 
+from repro import envvars
 from repro.isa.parser import parse_instruction
 from repro.profiler.harness import BasicBlockProfiler
-from repro.simcore import config as simcore
 from repro.uarch.machine import Machine
 from repro.uarch.uops import Decomposer
 
@@ -20,7 +20,7 @@ from repro.uarch.uops import Decomposer
 def test_att_and_intel_spellings_do_not_collide():
     """Same semantics, different text: distinct intern entries that
     parse to *equal* instructions — never one entry shadowing both."""
-    with simcore.forced(True):
+    with envvars.forced("REPRO_NO_FASTPATH", False):
         att = parse_instruction("add %rax, %rbx")
         intel = parse_instruction("add rbx, rax")
     assert att == intel
@@ -30,11 +30,11 @@ def test_att_and_intel_spellings_do_not_collide():
 
 def test_interning_returns_shared_object_only_when_enabled():
     line = "imul %rcx, %rdx"
-    with simcore.forced(True):
+    with envvars.forced("REPRO_NO_FASTPATH", False):
         a = parse_instruction(line)
         b = parse_instruction("  " + line + "  ")  # whitespace folded
     assert a is b
-    with simcore.forced(False):
+    with envvars.forced("REPRO_NO_FASTPATH", True):
         c = parse_instruction(line)
         d = parse_instruction(line)
     assert c is not d
@@ -42,7 +42,7 @@ def test_interning_returns_shared_object_only_when_enabled():
 
 
 def test_immediate_only_differences_get_distinct_entries():
-    with simcore.forced(True):
+    with envvars.forced("REPRO_NO_FASTPATH", False):
         one = parse_instruction("add $1, %rax")
         two = parse_instruction("add $2, %rax")
         hex_two = parse_instruction("add $0x2, %rax")
@@ -56,7 +56,7 @@ def test_immediate_only_differences_get_distinct_entries():
 def test_parse_errors_propagate_uncached():
     import pytest
     from repro.errors import AsmSyntaxError
-    with simcore.forced(True):
+    with envvars.forced("REPRO_NO_FASTPATH", False):
         with pytest.raises(AsmSyntaxError):
             parse_instruction("notarealmnemonic %rax")
         with pytest.raises(AsmSyntaxError):  # still raises on retry
@@ -68,7 +68,7 @@ def test_decomposer_cache_is_per_instance():
     m1 = Machine("haswell", seed=0)
     m2 = Machine("skylake", seed=0)
     assert m1.decomposer._cache is not m2.decomposer._cache
-    with simcore.forced(True):
+    with envvars.forced("REPRO_NO_FASTPATH", False):
         instr = parse_instruction("xor %eax, %eax")
     # The *same interned object* decomposed under different configs:
     # a global keyed-by-instruction cache would conflate these.
@@ -87,7 +87,7 @@ def test_dedup_memo_is_per_profiler():
     """Dedup is keyed by text *within one machine*: profiling the same
     text on another uarch must re-simulate, not reuse."""
     text = "add %rax, %rbx\nimul %rcx, %rbx"
-    with simcore.forced(True):
+    with envvars.forced("REPRO_NO_FASTPATH", False):
         haswell = BasicBlockProfiler(Machine("haswell", seed=0))
         skylake = BasicBlockProfiler(Machine("skylake", seed=0))
         a = haswell.profile(text)
@@ -97,7 +97,7 @@ def test_dedup_memo_is_per_profiler():
 
 
 def test_cached_instruction_hash_is_stable():
-    with simcore.forced(True):
+    with envvars.forced("REPRO_NO_FASTPATH", False):
         instr = parse_instruction("add %rax, %rbx")
     first = hash(instr)
     assert hash(instr) == first  # cached value, not recomputed wrong

@@ -19,6 +19,7 @@ import json
 
 import pytest
 
+from repro import envvars
 from repro.corpus.dataset import build_application
 from repro.eval.validation import profile_corpus_detailed
 from repro.parallel import profile_corpus_sharded
@@ -50,9 +51,9 @@ def _fingerprint(result):
 @pytest.mark.parametrize("uarch", UARCHES)
 def test_fastpath_bit_identical_serial_and_pool(uarch):
     corpus = build_application("llvm", count=18, seed=5)
-    with simcore.forced(False):
+    with envvars.forced("REPRO_NO_FASTPATH", True):
         slow = profile_corpus_detailed(corpus, uarch, seed=5)
-    with simcore.forced(True):
+    with envvars.forced("REPRO_NO_FASTPATH", False):
         fast = profile_corpus_detailed(corpus, uarch, seed=5)
         pool = profile_corpus_sharded(corpus, uarch, seed=5,
                                       jobs=2, shard_size=8)
@@ -73,9 +74,9 @@ def test_fastpath_bit_identical_serial_and_pool(uarch):
 def test_vector_corpus_identical(uarch):
     """Vector-heavy blocks (and the Ivy Bridge AVX2 drop path) too."""
     corpus = build_application("openblas", count=16, seed=9)
-    with simcore.forced(False):
+    with envvars.forced("REPRO_NO_FASTPATH", True):
         slow = profile_corpus_detailed(corpus, uarch, seed=9)
-    with simcore.forced(True):
+    with envvars.forced("REPRO_NO_FASTPATH", False):
         fast = profile_corpus_detailed(corpus, uarch, seed=9)
     assert _payload(slow) == _payload(fast)
 
@@ -96,7 +97,7 @@ def test_paper_unroll_factors_identical_per_measurement():
     config = ProfilerConfig(base_factor=100)
 
     def run(fast):
-        with simcore.forced(fast):
+        with envvars.forced("REPRO_NO_FASTPATH", not fast):
             profiler = BasicBlockProfiler(Machine("haswell", seed=0),
                                           config)
             return [_fingerprint(profiler.profile(t)) for t in texts]
@@ -107,12 +108,12 @@ def test_paper_unroll_factors_identical_per_measurement():
 def test_dedup_returns_identical_results_for_repeats():
     """Corpus-level dedup: repeated text -> one simulation, same bytes."""
     text = "add %rax, %rbx\nimul %rcx, %rbx"
-    with simcore.forced(True):
+    with envvars.forced("REPRO_NO_FASTPATH", False):
         profiler = BasicBlockProfiler(Machine("haswell", seed=0))
         first = profiler.profile(text)
         second = profiler.profile(text)
     assert second is first  # memoised, not re-simulated
-    with simcore.forced(False):
+    with envvars.forced("REPRO_NO_FASTPATH", True):
         profiler = BasicBlockProfiler(Machine("haswell", seed=0))
         slow_a = profiler.profile(text)
         slow_b = profiler.profile(text)
@@ -123,15 +124,11 @@ def test_dedup_returns_identical_results_for_repeats():
 
 def test_env_var_disables_fastpath(monkeypatch):
     monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-    simcore.set_enabled(None)  # defer to the environment
-    try:
-        assert not simcore.enabled()
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "0")
-        assert simcore.enabled()
-        monkeypatch.delenv("REPRO_NO_FASTPATH")
-        assert simcore.enabled()
-    finally:
-        simcore.set_enabled(None)
+    assert not simcore.enabled()
+    monkeypatch.setenv("REPRO_NO_FASTPATH", "0")
+    assert simcore.enabled()
+    monkeypatch.delenv("REPRO_NO_FASTPATH")
+    assert simcore.enabled()
 
 
 def test_cli_flag_exports_env(monkeypatch, tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import telemetry
+from repro import envvars, telemetry
 from repro.telemetry import cachestats
 from repro.telemetry.cachestats import CacheStats
 
@@ -77,8 +77,7 @@ class TestFiveCachesInReport:
     def test_decode_provider_tracks_parser(self):
         from repro.isa.parser import decode_cache_stats, \
             parse_instruction
-        from repro.simcore import config as simcore
-        with simcore.forced(True):
+        with envvars.forced("REPRO_NO_FASTPATH", False):
             before = decode_cache_stats()
             parse_instruction("addq %rax, %rbx")
             parse_instruction("addq %rax, %rbx")
@@ -98,13 +97,12 @@ class TestFiveCachesInReport:
     def test_page_cache_drained_by_harness(self):
         from repro.corpus.dataset import build_application
         from repro.eval.validation import profile_corpus_detailed
-        from repro.runtime import blockplan
         telemetry.enable()
         corpus = build_application("llvm", count=6, seed=3)
         # Page-cache stats only accrue on the block-plan fast path;
         # force it on so an ambient REPRO_NO_BLOCKPLAN can't starve
         # the counters.
-        with blockplan.forced(True):
+        with envvars.forced("REPRO_NO_BLOCKPLAN", False):
             profile_corpus_detailed(corpus, "haswell", seed=3)
         report = telemetry.build_run_report(telemetry.registry(),
                                             name="drained")

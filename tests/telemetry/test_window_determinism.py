@@ -14,10 +14,9 @@ import json
 
 import pytest
 
-from repro import telemetry
+from repro import envvars, telemetry
 from repro.corpus.dataset import build_application
 from repro.parallel import profile_corpus_sharded
-from repro.simcore import config as simcore
 from repro.telemetry import window
 
 UARCHES = ("ivybridge", "haswell", "skylake")
@@ -48,7 +47,7 @@ def test_serial_pool_and_fastpath_off_identical(uarch, monkeypatch):
                                   jobs=1, shard_size=8)
     pooled, _, _ = _window_series(corpus, uarch, 7, "win",
                                   jobs=4, shard_size=4)
-    with simcore.forced(False):
+    with envvars.forced("REPRO_NO_FASTPATH", True):
         slow, _, _ = _window_series(corpus, uarch, 7, "win",
                                     jobs=1, shard_size=8)
     assert serial == pooled

@@ -42,11 +42,9 @@ class TestBoundaries:
 
     def test_env_var_window_size(self, monkeypatch):
         monkeypatch.setenv("REPRO_WINDOW", "7")
-        assert window.default_window_size() == 7
         assert WindowAggregator("t", total=20).window_size == 7
         monkeypatch.delenv("REPRO_WINDOW")
-        assert window.default_window_size() == \
-            window.DEFAULT_WINDOW_SIZE
+        assert WindowAggregator("t", total=20).window_size == 64
 
 
 class TestOrderIndependence:
