@@ -3,10 +3,11 @@
 The generator-fed engine's contract has two legs and this bench
 enforces both on real subprocess measurements.  A process's RSS
 high-water mark never goes down, so every configuration gets its own
-interpreter, which reads its own ``VmHWM`` from ``/proc/self/status``
-where that exists: on Linux ``ru_maxrss`` carries over the forking
-parent's high-water mark across ``exec``, so under pytest it reports
-the test runner's RSS, not the measured interpreter's.
+interpreter, which reads its own peak through
+``repro.telemetry.resources.peak_rss_kb`` (``VmHWM`` where that
+exists: on Linux ``ru_maxrss`` carries over the forking parent's
+high-water mark across ``exec``, so under pytest it would report the
+test runner's RSS, not the measured interpreter's).
 
 * **Memory** — generator-fed peak RSS stays flat (within
   ``RSS_RATIO``, 1.2x) while the corpus grows ``GROWTH``x (10x).  The
@@ -45,13 +46,14 @@ RSS_RATIO = 1.2
 #: (materialised or generator-fed), print blocks / wall seconds / peak
 #: RSS / the CRC of the canonical profile bytes as JSON on stdout.
 _DRIVER = r"""
-import json, resource, sys, time, zlib
+import json, sys, time, zlib
 mode, uarch, scale, seed = (sys.argv[1], sys.argv[2],
                             float(sys.argv[3]), int(sys.argv[4]))
 from repro.corpus.dataset import build_corpus
 from repro.corpus.streaming import iter_corpus
 from repro.parallel import (profile_corpus_sharded,
                             profile_corpus_streamed)
+from repro.telemetry.resources import peak_rss_kb
 start = time.perf_counter()
 if mode == "sharded":
     corpus = build_corpus(scale=scale, seed=seed)
@@ -60,14 +62,7 @@ else:
     profile = profile_corpus_streamed(
         iter_corpus(scale=scale, seed=seed), uarch, seed=seed, jobs=1)
 elapsed = time.perf_counter() - start
-try:  # this process's own high-water mark (Linux)
-    with open("/proc/self/status") as fh:
-        peak = next(int(line.split()[1]) for line in fh
-                    if line.startswith("VmHWM:"))
-except (OSError, StopIteration):
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":
-        peak //= 1024
+peak = peak_rss_kb()
 payload = json.dumps({"throughputs": profile.throughputs,
                       "funnel": profile.funnel})
 print(json.dumps({"blocks": profile.funnel["total"],

@@ -33,8 +33,8 @@ reports the top cumulative hotspots.
 Resilience flags (docs/robustness.md): ``--chaos SPEC`` arms seeded
 deterministic fault injection; ``--strict`` / ``--salvage`` choose
 whether quarantines fail the run or degrade; ``--resume`` (corpus /
-validate) measures through the journaled shard cache so a killed run
-continues from its completed shards.
+validate) measures through the journaled measurement store so a
+killed run continues from its completed shards.
 """
 
 from __future__ import annotations
@@ -64,11 +64,11 @@ def _resolve_jobs(args) -> int:
 
 
 def _measured_resumable(args, corpus, jobs: int):
-    """Measure through the journaled shard cache (``--resume``).
+    """Measure through the journaled measurement store (``--resume``).
 
     Routes measurement through :class:`repro.eval.pipeline.Experiment`,
-    whose shard cache + run journal make a killed run continue from
-    its completed shards with byte-identical output.
+    whose measurement store + run journal make a killed run continue
+    from its completed shards with byte-identical output.
     """
     from repro.eval.pipeline import Experiment
     experiment = Experiment(scale=args.scale, seed=args.seed,
@@ -210,13 +210,12 @@ def _stream_corpus_cmd(args) -> int:
     jobs = _resolve_jobs(args)
     cache = journal = journal_meta = None
     if args.resume:
-        from repro.eval.pipeline import JOURNAL_NAME, _shard_cache_dir
         from repro.parallel import ShardCache
-        from repro.resilience.journal import RunJournal
-        cache = ShardCache(_shard_cache_dir("stream", args.uarch,
-                                            args.seed))
+        from repro.parallel.shard_cache import store_dir
+        from repro.resilience.journal import RunJournal, journal_name
+        cache = ShardCache(store_dir(args.uarch, args.seed))
         journal = RunJournal(os.path.join(cache.directory,
-                                          JOURNAL_NAME))
+                                          journal_name("stream")))
         journal_meta = {
             "uarch": args.uarch, "seed": args.seed,
             "stream": streaming.corpus_spec_digest(args.scale,
@@ -644,8 +643,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ceiling on the graceful SIGTERM drain "
                         "(default 10)")
     p.add_argument("--state", metavar="DIR", default=None,
-                   help="state directory: request journal + per-uarch "
-                        "shard caches (default <cache>/serve, or "
+                   help="state directory for the request journal; "
+                        "measurements go to the shared store under "
+                        "$REPRO_CACHE (default <cache>/serve, or "
                         "$REPRO_SERVE_STATE)")
     common(p)
     p.set_defaults(func=cmd_serve)

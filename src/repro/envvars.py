@@ -133,11 +133,14 @@ REGISTRY: List[EnvVar] = [
            "worker-pool size for `--jobs`-aware commands and benches",
            "pipeline", note="pipeline `1`, CLI `os.cpu_count()`"),
     EnvVar("REPRO_SHARD_SIZE", 32, int_at_least(1),
-           "blocks per content-addressed measurement-cache shard",
-           "pipeline"),
+           "blocks per shard, the unit of profiling work and of a "
+           "measurement-store hit (a shard hits only when every block "
+           "has an entry)", "pipeline"),
     EnvVar("REPRO_CACHE", os.path.join(_REPO_ROOT, ".cache"), text,
-           "measurement-cache directory (the serve daemon's state "
-           "defaults to its `serve/` subdirectory)", "pipeline"),
+           "cache root: one per-block measurement store per (uarch, "
+           "seed), `measured_v4_<uarch>_<seed>/`, shared by the "
+           "pipeline and the serve daemon (whose state defaults to "
+           "`serve/`)", "pipeline"),
     EnvVar("REPRO_REPORT_DIR", "reports", text,
            "where benches and telemetry write reports", "pipeline"),
     EnvVar("REPRO_STREAM_EPOCH", 512, int_at_least(0),
@@ -182,8 +185,9 @@ REGISTRY: List[EnvVar] = [
            "(p50/p95/p99 latency, jitter, deadline-miss rate)",
            "serve"),
     EnvVar("REPRO_SERVE_STATE", None, text,
-           "daemon state directory: CRC-self-checked request journal "
-           "plus per-(uarch, seed) shard caches", "serve",
+           "daemon state directory: the CRC-self-checked request "
+           "journal only (measurements go to the store under "
+           "`$REPRO_CACHE`)", "serve",
            note="`$REPRO_CACHE/serve`"),
 ]
 

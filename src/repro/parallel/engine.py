@@ -404,12 +404,13 @@ def profile_corpus_sharded(corpus: Corpus, uarch: str, seed: int = 0,
     identity is the digest of those shards, and the pool never
     outnumbers them — so a single shard (the serve daemon's one-block
     batch) profiles in-process with no pool at all.  ``cache`` enables
-    the v3 shard cache: shards whose digest already has an entry are
-    loaded instead of profiled, and freshly profiled shards are
-    written back atomically.  ``journal`` (requires ``cache``) makes
-    the run crash-safe: completed shards are durably journaled with a
-    checksum of their cache bytes, cache hits are verified against the
-    journal on resume, and mismatches are quarantined and re-profiled.
+    the measurement store: shards whose every block already has an
+    entry are loaded instead of profiled, and freshly profiled shards'
+    entries are written back atomically.  ``journal`` (requires
+    ``cache``) makes the run crash-safe: completed shards are durably
+    journaled with a checksum of their entry bytes, cache hits are
+    verified against the journal on resume, and mismatches are
+    quarantined and re-profiled.
     ``stats``, if given, is filled with run accounting (shard counts,
     cache hits, resumed shards, retries, failures).
     """
@@ -855,24 +856,22 @@ def _load_verified(cache: Optional[ShardCache], shard: Shard,
                    ) -> Optional[CorpusProfile]:
     """Load a shard from cache, cross-checked against the journal.
 
-    A cache hit whose on-disk bytes no longer match the checksum the
-    journal recorded at write time is corrupt (torn write, bit rot, or
-    an injected post-write corruption): quarantine it and re-profile.
-    Hits without a journal entry fall back to the loader's own
-    structural validation.
+    A corrupt entry is quarantined by the load itself.  A hit whose
+    entry bytes no longer match the checksum the journal recorded at
+    write time is corrupt too (torn write, bit rot, or an injected
+    post-write corruption that still decodes): quarantine the shard's
+    entries and re-profile.  Hits without a journal entry rest on the
+    loader's own validation.
     """
     if cache is None:
         return None
+    profile = cache.load(shard)
     expected = journaled.get(shard.digest)
-    if expected is not None:
-        actual = cache.checksum(shard)
-        if actual is None:
-            return None
-        if actual != expected:
-            cache._quarantine(cache.path_for(shard),
-                              "journal checksum mismatch")
-            return None
-    return cache.load(shard)
+    if profile is not None and expected is not None \
+            and cache.checksum(shard) != expected:
+        cache.quarantine(shard, "journal checksum mismatch")
+        return None
+    return profile
 
 
 def _serial_shard(descriptor: MachineDescriptor,

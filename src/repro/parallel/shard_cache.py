@@ -1,74 +1,121 @@
-"""Measurement cache v3: one file per shard, keyed by content digest.
+"""Measurement store v4: one entry per block, keyed by block content.
 
-Layout (under ``.cache/``)::
+A block's measurement is a pure function of its text and the machine
+(uarch, seed), never of where the block sits in a corpus, so the store
+keeps one entry per block and one store per (uarch, seed).  The
+pipeline (every corpus tag), ``repro corpus --stream --resume`` and the
+serve daemon all open the same directory::
 
-    measured_v3_<tag>_<uarch>_<seed>/
-        shard_<digest>.json     # {"version": 3, "digest", "count",
-                                #  "throughputs": {offset: cycles},
-                                #  "funnel": {...}}
+    $REPRO_CACHE/measured_v4_<uarch>_<seed>/
+        <kk>/<key>.json        # {"throughput": 1.25, "extra": [...]}
+                               # or {"dropped": "<reason>", "extra": []}
+        tmp/                   # <key>.json.<pid>.tmp while writing
+        quarantine/            # corrupt entries, moved aside
+        journal_<tag>.ndjson   # one run journal per corpus tag
 
-Throughputs are stored by *offset within the shard* rather than by
-``block_id``: a shard whose content is unchanged stays valid even when
-corpus growth shifted absolute ids, which is what makes re-runs with a
-grown corpus incremental — only new or changed shards are profiled.
+``key`` is a 128-bit BLAKE2b digest of the block text (``kk`` its first
+two hex digits).  ``extra`` lists the ``ProfileResult.extra`` flags that
+feed the run's ``info`` tallies.  There is no index: a shard is a hit
+only when every one of its blocks has an entry, and
+:meth:`ShardCache.load` then assembles throughputs, funnel and info in
+record order through :meth:`CorpusProfile.from_outcomes` — the rule a
+fresh profile uses — so a hit is byte-identical to re-profiling.
 
-Every write is atomic (temp file + ``os.replace``), so a run killed
-mid-write leaves at worst an orphaned ``*.tmp`` the loader ignores;
-it can never leave a half-written ``shard_*.json`` visible.  Orphaned
-temps from crashed runs are swept when the cache is opened (a live
-writer's temp — its pid is embedded in the name — is left alone).
-Loads are defensive: wrong version, digest mismatch, truncated JSON,
-or a funnel that does not account for every block all read as a miss,
-never as an exception — and the offending file is moved to
-``quarantine/`` (rather than left to fail again every run) unless
-strict mode promotes the corruption into a
-:class:`repro.errors.StrictModeViolation`.
+Entries are write-once: :meth:`ShardCache.store` keeps an entry that
+decodes and (re)writes only missing or corrupt ones.  Every write is
+atomic (temp file in ``tmp/`` + ``os.replace``), so a killed run leaves
+at worst an orphaned temp, never a half-written entry; orphans of dead
+writers are swept when the store is opened.  An entry that does not
+decode to exactly a finite throughput > 0 or a reason string, plus a
+list of string extras, reads as a miss, never as an exception, and is
+moved to ``quarantine/`` — unless strict mode promotes the corruption
+into a :class:`repro.errors.StrictModeViolation`.
 
 Writes run under the resilience retry policy: a transient ``OSError``
 (including the injected ``write_oserror`` chaos point) is retried with
 deterministic jittered backoff; persistent failure (e.g. disk full)
-degrades to "shard not cached" instead of failing the run.
-``store`` returns the CRC-32 of the bytes it wrote so the run journal
-(:mod:`repro.resilience.journal`) can verify cache hits on resume.
-
-``import_v2`` is the merge-on-load path for the previous monolithic
-cache format: a v2 (or v1) file for the same corpus is split into
-per-shard entries once, after which the shards behave like natively
-written v3 entries.  Per-reason drop attribution survives the split
-only when it is unambiguous (a single drop reason); otherwise drops
-are lumped under ``unknown_pre_v3_cache``, mirroring how v1 files were
-already handled.
+degrades to "shard not stored" instead of failing the run.
+:meth:`ShardCache.store` and :meth:`ShardCache.checksum` return the
+CRC-32 of the shard's entry bytes, concatenated in record order, which
+the run journal (:mod:`repro.resilience.journal`) records and verifies
+on resume.
 """
 
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
+import math
 import os
 import zlib
-from typing import Dict, Iterable, Optional
+from typing import List, Optional, Tuple
 
+from repro import envvars
 from repro.parallel.sharding import Shard
-from repro.profiler.harness import CorpusProfile
+from repro.profiler.harness import CorpusProfile, Outcome
 from repro.resilience import chaos
 from repro.resilience import policy as resilience
 from repro.telemetry import cachestats
 from repro.telemetry import core as telemetry
 
-CACHE_VERSION = 3
-
-#: Funnel bucket for drops whose original reason a legacy cache no
-#: longer records.
-LEGACY_DROP_REASON = "unknown_pre_v3_cache"
-
-#: Subdirectory corrupt shard files are moved to instead of raising.
+#: Subdirectory corrupt entries are moved to instead of raising.
 QUARANTINE_DIR = "quarantine"
+
+#: Subdirectory every in-flight write's temp file lives in.
+TMP_DIR = "tmp"
 
 # Default provider so the unified ``caches`` section always carries a
 # ``shard`` row (pure counter read); opening a ShardCache replaces it
 # with an instance-bound provider that also reports on-disk size.
 cachestats.register_provider(
     "shard", lambda: cachestats.registry_stats("shard"))
+
+
+def store_dir(uarch: str, seed: int) -> str:
+    """The one measurement store for (uarch, seed) under ``REPRO_CACHE``."""
+    return os.path.join(os.path.abspath(envvars.get("REPRO_CACHE")),
+                        f"measured_v4_{uarch}_{seed}")
+
+
+def entry_key(text: str) -> str:
+    """Process-stable 128-bit content key of one block's text.
+
+    Never builtin ``hash()`` (salted per process by ``PYTHONHASHSEED``),
+    and not CRC-32 either: at the paper's ~358k blocks a 32-bit key
+    would be expected to collide about 15 times.
+    """
+    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+
+
+def encode_entry(outcome: Outcome) -> bytes:
+    value, extras = outcome
+    field = "dropped" if isinstance(value, str) else "throughput"
+    return json.dumps({field: value, "extra": list(extras)}).encode()
+
+
+def decode_entry(data: bytes) -> Optional[Outcome]:
+    """The entry's outcome, or ``None`` for anything but the schema."""
+    try:
+        doc = json.loads(data)
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(doc, dict) or len(doc) != 2:
+        return None
+    extras = doc.get("extra")
+    if not isinstance(extras, list) \
+            or not all(isinstance(key, str) for key in extras):
+        return None
+    if "throughput" in doc:
+        value = doc["throughput"]
+        if type(value) is not float or not math.isfinite(value) \
+                or value <= 0:
+            return None
+    else:
+        value = doc.get("dropped")
+        if not isinstance(value, str) or not value:
+            return None
+    return value, tuple(extras)
 
 
 def _pid_alive(pid: int) -> bool:
@@ -83,40 +130,49 @@ def _pid_alive(pid: int) -> bool:
 
 
 class ShardCache:
-    """Per-shard measurement cache with atomic writes."""
+    """Per-block measurement store, read and written a shard at a time."""
 
     def __init__(self, directory: str,
                  retry: Optional[resilience.RetryPolicy] = None):
         self.directory = directory
         self.retry = retry or resilience.default_retry_policy()
-        os.makedirs(directory, exist_ok=True)
+        os.makedirs(self.tmp_dir, exist_ok=True)
         self._sweep_stale_temps()
         # The unified ``caches`` section tracks the most recently
-        # opened shard cache (runs open exactly one); hit/miss counts
-        # come from the engine's ``cache.shard.*`` counters.
+        # opened store; hit/miss counts come from the engine's
+        # ``cache.shard.*`` counters.
         cachestats.register_provider("shard", self._cache_stats)
 
     def _cache_stats(self) -> cachestats.CacheStats:
         stats = cachestats.registry_stats("shard")
         try:
-            stats.size = len(self.shard_files())
+            stats.size = self.entry_count()
         except OSError:
             pass
         return stats
 
     # ------------------------------------------------------------------
 
-    def path_for(self, shard: Shard) -> str:
-        return os.path.join(self.directory,
-                            f"shard_{shard.digest}.json")
+    def entry_path(self, key: str) -> str:
+        return os.path.join(self.directory, key[:2], f"{key}.json")
 
-    def __contains__(self, shard: Shard) -> bool:
-        return os.path.exists(self.path_for(shard))
+    def entry_paths(self, shard: Shard) -> List[str]:
+        """The shard's entry files, in record order."""
+        return [self.entry_path(entry_key(record.block.text()))
+                for record in shard.records]
 
-    def shard_files(self) -> list:
-        return sorted(name for name in os.listdir(self.directory)
-                      if name.startswith("shard_")
-                      and name.endswith(".json"))
+    def entry_count(self) -> int:
+        count = 0
+        for name in os.listdir(self.directory):
+            if len(name) == 2:
+                count += sum(1 for entry in os.listdir(
+                    os.path.join(self.directory, name))
+                    if entry.endswith(".json"))
+        return count
+
+    @property
+    def tmp_dir(self) -> str:
+        return os.path.join(self.directory, TMP_DIR)
 
     @property
     def quarantine_dir(self) -> str:
@@ -131,36 +187,24 @@ class ShardCache:
     # ------------------------------------------------------------------
 
     def _sweep_stale_temps(self) -> None:
-        """Remove ``*.tmp`` orphans left by prior crashed runs.
+        """Remove temps left in ``tmp/`` by prior crashed writers.
 
-        Temp names embed the writing pid (``<file>.<pid>.tmp``); a
-        temp whose writer is dead — or whose name does not parse — is
-        an orphan from a crash and is deleted.  A live writer's temp
-        (another process racing this one) is left for it to finish.
+        Temp names embed the writing pid (``<entry>.<pid>.tmp``); a
+        temp whose writer is dead, is this process (which has not
+        written yet), or whose name does not parse is an orphan and is
+        deleted.  A live writer's temp is left for it to finish.
         """
         swept = 0
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return
-        for name in names:
-            if not name.endswith(".tmp"):
-                continue
-            pieces = name.split(".")
-            # shard_<digest>.json.<pid>.tmp -> pid is pieces[-2]
+        for name in os.listdir(self.tmp_dir):
             try:
-                pid = int(pieces[-2])
+                pid = int(name.split(".")[-2])
             except (IndexError, ValueError):
                 pid = None
             if pid is not None and pid != os.getpid() \
                     and _pid_alive(pid):
                 continue
-            if pid == os.getpid():
-                # Our own pid: any temp is a leftover from a previous
-                # incarnation of this pid (we have not written yet).
-                pass
             try:
-                os.unlink(os.path.join(self.directory, name))
+                os.unlink(os.path.join(self.tmp_dir, name))
                 swept += 1
             except OSError:
                 pass
@@ -169,105 +213,89 @@ class ShardCache:
             telemetry.event("resilience.stale_temps_swept",
                             directory=self.directory, count=swept)
 
-    def _quarantine(self, path: str, reason: str) -> None:
-        """Move a corrupt file to ``quarantine/`` (or raise in strict)."""
+    def _quarantine(self, paths: List[str], reason: str) -> None:
+        """Move corrupt entries to ``quarantine/`` (or raise in strict)."""
         resilience.quarantine_or_raise(
-            f"corrupt shard-cache file {os.path.basename(path)}",
-            reason)
+            f"corrupt measurement entry "
+            f"{os.path.basename(paths[0])}", reason)
         os.makedirs(self.quarantine_dir, exist_ok=True)
-        dest = os.path.join(self.quarantine_dir,
-                            os.path.basename(path))
-        try:
-            os.replace(path, dest)
-        except OSError:
+        for path in paths:
+            name = os.path.basename(path)
             try:
-                os.unlink(path)
+                os.replace(path, os.path.join(self.quarantine_dir, name))
             except OSError:
-                return
-        telemetry.count("resilience.quarantined.cache_files")
-        telemetry.count("cache.shard.evictions")
-        telemetry.event("resilience.cache_file_quarantined",
-                        file=os.path.basename(path), reason=reason)
+                try:
+                    os.unlink(path)
+                except OSError:
+                    continue
+            telemetry.count("resilience.quarantined.cache_files")
+            telemetry.count("cache.shard.evictions")
+            telemetry.event("resilience.cache_file_quarantined",
+                            file=name, reason=reason)
+
+    def quarantine(self, shard: Shard, reason: str) -> None:
+        """Quarantine every stored entry of ``shard``.
+
+        For corruption only the shard as a whole can see, e.g. entry
+        bytes that no longer match the run journal's checksum.
+        """
+        self._quarantine(self.entry_paths(shard), reason)
+
+    def _read(self, path: str) -> Optional[Tuple[bytes, Outcome]]:
+        """An entry's bytes and outcome; ``None`` if absent or corrupt."""
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError:
+            return None  # plain miss
+        outcome = decode_entry(data)
+        if outcome is None:
+            self._quarantine([path], "malformed entry")
+            return None
+        return data, outcome
 
     # ------------------------------------------------------------------
 
     def checksum(self, shard: Shard) -> Optional[int]:
-        """CRC-32 of the shard file's current bytes (``None`` if absent)."""
-        try:
-            with open(self.path_for(shard), "rb") as fh:
-                return zlib.crc32(fh.read())
-        except OSError:
-            return None
+        """CRC-32 of the shard's entry bytes in record order
+        (``None`` if any entry is absent)."""
+        crc = 0
+        for path in self.entry_paths(shard):
+            try:
+                with open(path, "rb") as fh:
+                    crc = zlib.crc32(fh.read(), crc)
+            except OSError:
+                return None
+        return crc
 
     def load(self, shard: Shard) -> Optional[CorpusProfile]:
-        """The shard's cached profile, or ``None`` on any defect.
-
-        A file that exists but fails validation — truncated JSON,
-        garbage, wrong schema, digest mismatch, a funnel that does not
-        account for every block — is quarantined so it cannot fail
-        again on every future run.
-        """
-        path = self.path_for(shard)
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except OSError:
-            return None  # plain miss
-        except ValueError:
-            self._quarantine(path, "undecodable JSON")
-            return None
-        if not isinstance(doc, dict) \
-                or doc.get("version") != CACHE_VERSION \
-                or doc.get("digest") != shard.digest \
-                or doc.get("count") != len(shard):
-            self._quarantine(path, "wrong schema or digest")
-            return None
-        funnel = doc.get("funnel") or {}
-        dropped = funnel.get("dropped") or {}
-        if funnel.get("total") != len(shard) or \
-                funnel.get("accepted", -1) + sum(dropped.values()) \
-                != len(shard):
-            # corrupt: funnel does not cover the shard
-            self._quarantine(path, "funnel does not reconcile")
-            return None
-        offsets = doc.get("throughputs") or {}
-        throughputs: Dict[int, float] = {}
-        try:
-            for offset, value in offsets.items():
-                throughputs[shard.records[int(offset)].block_id] = value
-        except (IndexError, ValueError):
-            self._quarantine(path, "throughput offsets out of range")
-            return None
-        return CorpusProfile(throughputs=throughputs,
-                             funnel={"total": funnel["total"],
-                                     "accepted": funnel["accepted"],
-                                     "dropped": dict(dropped)},
-                             info=dict(doc.get("info") or {}))
+        """The shard's profile if every block has an entry, else
+        ``None``; a corrupt entry is quarantined on the way."""
+        outcomes = []
+        for path in self.entry_paths(shard):
+            entry = self._read(path)
+            if entry is None:
+                return None
+            outcomes.append(entry[1])
+        return CorpusProfile.from_outcomes(shard.records, outcomes)
 
     def store(self, shard: Shard,
               profile: CorpusProfile) -> Optional[int]:
-        """Atomically persist one shard's profile.
+        """Persist the entries the shard's blocks do not have yet.
 
-        Returns the CRC-32 of the bytes written (for the run journal),
-        or ``None`` when the write ultimately failed and the run
-        degraded to "not cached" (salvage mode; strict mode raises).
+        Returns the CRC-32 of the shard's entry bytes as they stand on
+        disk (for the run journal), or ``None`` when a write ultimately
+        failed and the run degraded to "not stored" (salvage mode;
+        strict mode raises).
         """
-        by_offset = {
-            offset: profile.throughputs[record.block_id]
-            for offset, record in enumerate(shard.records)
-            if record.block_id in profile.throughputs
-        }
-        payload = {"version": CACHE_VERSION,
-                   "digest": shard.digest,
-                   "count": len(shard),
-                   "throughputs": by_offset,
-                   "funnel": profile.funnel,
-                   "info": profile.info}
-        data = json.dumps(payload)
-        path = self.path_for(shard)
-        tmp = f"{path}.{os.getpid()}.tmp"
+        if len(profile.outcomes) != len(shard):
+            raise ValueError(
+                f"shard {shard.digest}: profile carries "
+                f"{len(profile.outcomes)} outcomes for {len(shard)} "
+                f"blocks")
+        paths = self.entry_paths(shard)
 
-        def attempt_write(attempt: int) -> None:
+        def attempt_write(attempt: int) -> int:
             if attempt == 0 and chaos.fire("write_oserror",
                                            shard.digest):
                 raise OSError(errno.EIO,
@@ -275,16 +303,16 @@ class ShardCache:
             if chaos.fire("disk_full", shard.digest,
                           count=attempt == 0):
                 raise OSError(errno.ENOSPC, "chaos: disk full")
-            try:
-                with open(tmp, "w") as fh:
-                    fh.write(data)
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+            crc = 0
+            for path, outcome in zip(paths, profile.outcomes):
+                entry = self._read(path)
+                data = entry[0] if entry else self._write(
+                    path, encode_entry(outcome))
+                crc = zlib.crc32(data, crc)
+            return crc
 
         try:
-            self.retry.run(attempt_write, key=shard.digest)
+            crc = self.retry.run(attempt_write, key=shard.digest)
         except OSError as exc:
             telemetry.count("resilience.cache_write_failures")
             telemetry.event("resilience.cache_write_failure",
@@ -294,13 +322,29 @@ class ShardCache:
                 f"cache write failed for shard {shard.digest}",
                 str(exc))
             return None
-        self._maybe_corrupt_after_write(shard, path)
-        return zlib.crc32(data.encode())
+        self._maybe_corrupt_after_write(shard, paths[0])
+        return crc
+
+    def _write(self, path: str, data: bytes) -> bytes:
+        tmp = os.path.join(self.tmp_dir,
+                           f"{os.path.basename(path)}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(data)
+            try:
+                os.replace(tmp, path)
+            except FileNotFoundError:  # first entry under this prefix
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        return data
 
     @staticmethod
     def _maybe_corrupt_after_write(shard: Shard, path: str) -> None:
         """Chaos points simulating a write that *looked* durable but
-        left a truncated or garbage file for the next reader."""
+        left a truncated or garbage entry for the next reader."""
         if chaos.fire("cache_truncate", shard.digest):
             size = os.path.getsize(path)
             with open(path, "r+") as fh:
@@ -308,51 +352,3 @@ class ShardCache:
         elif chaos.fire("cache_garbage", shard.digest):
             with open(path, "w") as fh:
                 fh.write("\x00garbage\x7f not json {{{")
-
-    # ------------------------------------------------------------------
-
-    def import_v2(self, shards: Iterable[Shard],
-                  profile: CorpusProfile) -> int:
-        """Split a legacy whole-corpus profile into v3 shard entries.
-
-        A legacy file records *which* blocks were dropped (absent from
-        ``throughputs``) but only corpus-wide *reason* counts, so the
-        reasons are redistributed greedily over the shards' drop slots
-        in order.  Per-shard attribution is therefore approximate, but
-        the merged funnel — the Table-I view — reproduces the legacy
-        breakdown exactly.  Shards already cached natively are left
-        alone (their slots consume from the pool blindly, falling back
-        to ``unknown_pre_v3_cache`` if the pool runs dry).  Returns
-        the number of shards imported.
-        """
-        pool = [[reason, count] for reason, count
-                in (profile.funnel.get("dropped") or {}).items()]
-        imported = 0
-        for shard in sorted(shards, key=lambda s: s.index):
-            throughputs = {
-                record.block_id: profile.throughputs[record.block_id]
-                for record in shard.records
-                if record.block_id in profile.throughputs
-            }
-            accepted = len(throughputs)
-            missing = len(shard) - accepted
-            dropped: Dict[str, int] = {}
-            while missing and pool:
-                reason, count = pool[0]
-                take = min(missing, count)
-                dropped[reason] = dropped.get(reason, 0) + take
-                missing -= take
-                if count == take:
-                    pool.pop(0)
-                else:
-                    pool[0][1] = count - take
-            if missing:  # legacy funnel under-counted its drops
-                dropped[LEGACY_DROP_REASON] = missing
-            if shard in self:
-                continue  # consumed its slots; keep the native entry
-            self.store(shard, CorpusProfile(
-                throughputs=throughputs,
-                funnel={"total": len(shard), "accepted": accepted,
-                        "dropped": dropped}))
-            imported += 1
-        return imported

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import (ArithmeticFault, ChaosFault, MemoryFault,
                           StepBudgetExceeded,
@@ -363,6 +363,11 @@ class BasicBlockProfiler:
         return results
 
 
+#: One block's measurement outcome: the accepted throughput or the drop
+#: reason, plus the ``ProfileResult.extra`` keys that were set, in order.
+Outcome = Tuple[Union[float, str], Tuple[str, ...]]
+
+
 @dataclass
 class CorpusProfile:
     """Ground-truth measurements plus the accept/drop funnel.
@@ -379,15 +384,57 @@ class CorpusProfile:
     ``step_budget_exceeded``).  It is kept *outside* the funnel so the
     funnel — and therefore accepted/dropped accounting — stays
     byte-identical whichever switches are on or off.
+
+    ``outcomes`` holds one :data:`Outcome` per record, in record order:
+    what the measurement store keeps per block.  Merged profiles leave
+    it empty, and it takes no part in equality.
     """
 
     throughputs: Dict[int, float]
     funnel: Dict
     info: Dict = field(default_factory=dict)
+    outcomes: List[Outcome] = field(default_factory=list, compare=False,
+                                    repr=False)
 
     @staticmethod
     def empty_funnel(total: int = 0) -> Dict:
         return {"total": total, "accepted": 0, "dropped": {}}
+
+    @classmethod
+    def from_outcomes(cls, records: Sequence,
+                      outcomes: Sequence[Outcome]) -> "CorpusProfile":
+        """Assemble throughputs, funnel and info in record order.
+
+        The one assembly rule: a freshly profiled run and a run loaded
+        from the measurement store both go through it, so they cannot
+        differ in a byte.
+        """
+        throughputs: Dict[int, float] = {}
+        funnel = cls.empty_funnel()
+        info: Dict[str, int] = {}
+        dropped = funnel["dropped"]
+        for record, (value, extras) in zip(records, outcomes):
+            funnel["total"] += 1
+            if isinstance(value, str):
+                dropped[value] = dropped.get(value, 0) + 1
+            else:
+                throughputs[record.block_id] = value
+                funnel["accepted"] += 1
+            for key in extras:
+                info[key] = info.get(key, 0) + 1
+        return cls(throughputs=throughputs, funnel=funnel, info=info,
+                   outcomes=list(outcomes))
+
+
+def _outcome(result: ProfileResult) -> Outcome:
+    """The accept/drop policy for one profiled block."""
+    if result.ok and result.throughput > 0:
+        value: Union[float, str] = result.throughput
+    else:
+        value = ("zero_throughput" if result.failure is None
+                 else result.failure.value)
+    return value, tuple(key for key, flag in result.extra.items()
+                        if flag)
 
 
 def profile_records_detailed(profiler: BasicBlockProfiler,
@@ -398,26 +445,10 @@ def profile_records_detailed(profiler: BasicBlockProfiler,
     parallel worker (``repro.parallel``), so a sharded run cannot
     diverge from a serial one by construction.
     """
-    throughputs: Dict[int, float] = {}
-    funnel = CorpusProfile.empty_funnel()
-    info: Dict[str, int] = {}
     records = list(records)
     results = profiler.profile_many([r.block for r in records])
-    for record, result in zip(records, results):
-        funnel["total"] += 1
-        if result.ok and result.throughput > 0:
-            throughputs[record.block_id] = result.throughput
-            funnel["accepted"] += 1
-        else:
-            reason = ("zero_throughput" if result.failure is None
-                      else result.failure.value)
-            funnel["dropped"][reason] = \
-                funnel["dropped"].get(reason, 0) + 1
-        for key, value in result.extra.items():
-            if value:
-                info[key] = info.get(key, 0) + 1
-    return CorpusProfile(throughputs=throughputs, funnel=funnel,
-                         info=info)
+    return CorpusProfile.from_outcomes(
+        records, [_outcome(result) for result in results])
 
 
 #: Weak reference to the most recently constructed profiler, so the

@@ -19,8 +19,8 @@ from repro.resilience.chaos import (CRASH_EXIT_CODE, FAULT_POINTS,
                                     PIPELINE_FAULT_POINTS,
                                     SERVE_FAULT_POINTS, ChaosPolicy,
                                     ChaosSpecError)
-from repro.resilience.journal import (JOURNAL_NAME, RunJournal,
-                                      journal_line, parse_journal_line)
+from repro.resilience.journal import (RunJournal, journal_line,
+                                      journal_name, parse_journal_line)
 from repro.resilience.policy import (RetryPolicy, default_retry_policy,
                                      quarantine_or_raise, step_budget,
                                      strict_mode)
@@ -30,7 +30,7 @@ __all__ = [
     "ChaosPolicy", "ChaosSpecError", "ChaosFault", "FAULT_POINTS",
     "PIPELINE_FAULT_POINTS", "SERVE_FAULT_POINTS", "CRASH_EXIT_CODE",
     # journal
-    "RunJournal", "JOURNAL_NAME", "journal_line", "parse_journal_line",
+    "RunJournal", "journal_line", "journal_name", "parse_journal_line",
     # policy
     "RetryPolicy", "default_retry_policy", "step_budget",
     "strict_mode", "quarantine_or_raise",

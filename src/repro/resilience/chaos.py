@@ -1,10 +1,10 @@
 """Deterministic chaos / fault injection.
 
 Every hostile scenario the pipeline must survive — a worker process
-dying, a worker hanging past its deadline, a shard-cache file arriving
-truncated or as garbage, a transient ``OSError`` on an atomic write, a
-full disk, a block whose simulation raises out of nowhere — is woven
-through the stack as a *named fault point*.  A seeded
+dying, a worker hanging past its deadline, a measurement-store entry
+arriving truncated or as garbage, a transient ``OSError`` on an atomic
+write, a full disk, a block whose simulation raises out of nowhere — is
+woven through the stack as a *named fault point*.  A seeded
 :class:`ChaosPolicy` (``--chaos SPEC`` on the CLI, ``$REPRO_CHAOS`` in
 the environment, or :func:`forced` in tests) arms those points.
 
@@ -48,8 +48,8 @@ from repro.telemetry import core as telemetry
 PIPELINE_FAULT_POINTS: Tuple[str, ...] = (
     "worker_crash",    # worker process hard-exits at shard start
     "worker_hang",     # worker sleeps past the shard deadline
-    "cache_truncate",  # shard-cache write leaves truncated JSON
-    "cache_garbage",   # shard-cache write leaves non-JSON garbage
+    "cache_truncate",  # store write leaves a truncated entry
+    "cache_garbage",   # store write leaves a non-JSON entry
     "write_oserror",   # transient OSError on the atomic write (1st try)
     "disk_full",       # persistent ENOSPC on the atomic write
     "block_poison",    # RuntimeError surfaces mid-simulation

@@ -1,10 +1,11 @@
 """Crash-safe run journal: append-only NDJSON with per-line checksums.
 
-One journal lives next to each v3 shard-cache directory
-(``journal.ndjson``).  It records the run's identity (a ``begin``
-record: uarch, seed, corpus digest, shard count) followed by one
-``shard`` record per completed shard — its content digest plus a
-CRC-32 of the exact bytes the cache wrote for it.
+Each corpus tag keeps one journal inside its measurement store
+(``journal_<tag>.ndjson``, see :mod:`repro.parallel.shard_cache`).  It
+records the run's identity (a ``begin`` record: uarch, seed, corpus
+digest, shard count) followed by one ``shard`` record per completed
+shard — its content digest plus a CRC-32 of the shard's entry bytes in
+record order.
 
 The file is designed to be killed mid-write at any byte:
 
@@ -20,9 +21,8 @@ The file is designed to be killed mid-write at any byte:
 
 On resume the engine cross-checks every cache hit against the
 journal's recorded checksum and quarantines mismatches (see
-``repro.parallel.engine``), which is what turns "the cache file looks
-like JSON" into "the cache file holds exactly the bytes a completed
-shard wrote".
+``repro.parallel.engine``), which is what turns "the entries decode"
+into "the entries hold exactly the bytes a completed shard stored".
 """
 
 from __future__ import annotations
@@ -34,8 +34,10 @@ from typing import Dict, Optional, TextIO
 
 JOURNAL_VERSION = 1
 
-#: Default journal filename inside a shard-cache directory.
-JOURNAL_NAME = "journal.ndjson"
+
+def journal_name(tag: str) -> str:
+    """The run journal's filename for one corpus tag."""
+    return f"journal_{tag}.ndjson"
 
 
 def journal_line(record: Dict) -> str:
@@ -64,7 +66,7 @@ def parse_journal_line(line: str) -> Optional[Dict]:
 
 
 class RunJournal:
-    """Append-only NDJSON journal for one shard-cache directory."""
+    """Append-only NDJSON journal for one run over a measurement store."""
 
     def __init__(self, path: str):
         self.path = path

@@ -8,7 +8,7 @@ dependency-free module so :mod:`repro.runtime.memory`,
 :mod:`repro.runtime.executor`, the CLI and the tests can all import it
 without touching the executor↔plan import cycle.
 
-The differential suite and the ``blockplan-differential`` CI leg prove
+The differential suite and the ``switch-differential`` CI job prove
 that flipping this switch never changes a single serialized byte of
 any profile — it only changes how fast the bytes are produced.
 """

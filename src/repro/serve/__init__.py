@@ -6,8 +6,8 @@ long-lived service.  ``repro serve --socket PATH | --port N`` stands up
 an asyncio daemon that accepts block-profiling requests over HTTP
 (Unix-domain socket or TCP), coalesces concurrent requests into
 content-addressed one-block shards, and executes them on the existing
-``repro.parallel`` engine — so the shared v3 shard cache becomes a
-multi-tenant result store and dedup across clients is free.
+``repro.parallel`` engine — so the pipeline's measurement store
+becomes a multi-tenant result store and dedup across clients is free.
 
 Robustness is the headline (see docs/service.md):
 

@@ -2,8 +2,8 @@
 
 :class:`ProfilingService` owns everything that does not need an event
 loop — request validation, content addressing, the request journal,
-the circuit breaker, per-(uarch, seed) shard caches, and the batch
-execution path — so the whole robustness surface is testable
+the circuit breaker, the per-(uarch, seed) measurement stores, and
+the batch execution path — so the whole robustness surface is testable
 in-process with plain function calls.  The asyncio daemon
 (:mod:`repro.serve.daemon`) is a thin transport around it.
 
@@ -13,11 +13,13 @@ covers only block texts, never ids), and the batch of unique shards
 runs through :func:`repro.parallel.profile_corpus_sharded` — a finite
 stream on the one profiling engine, whose pool never outnumbers the
 shards, so a one-block batch profiles in-process — against the
-shared v3 shard cache.  Because measurement is a pure function of
-(block text, uarch, seed) — even simulated noise is seeded from the
-text — two clients sending the same block hit the same cache file, so
-dedup across clients is free and responses are byte-stable across
-restarts, replays, and serial/pooled backends alike.
+pipeline's own per-(uarch, seed) measurement store under
+``$REPRO_CACHE``.  Because measurement is a pure function of (block
+text, uarch, seed) — even simulated noise is seeded from the text —
+two clients sending the same block hit the same store entry, as does
+a block the pipeline already measured, so dedup is free and
+responses are byte-stable across restarts, replays, and serial/pooled
+backends alike.  The state directory holds only the request journal.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from repro.corpus.dataset import BlockRecord, Corpus
 from repro.errors import ReproError
 from repro.isa.parser import parse_block
 from repro.parallel.engine import profile_corpus_sharded
-from repro.parallel.shard_cache import ShardCache
+from repro.parallel.shard_cache import ShardCache, store_dir
 from repro.parallel.sharding import Shard, shard_digest
 from repro.serve import metrics
 from repro.serve.breaker import CircuitBreaker
@@ -204,10 +206,7 @@ class ProfilingService:
     def cache_for(self, uarch: str, seed: int) -> ShardCache:
         key = (uarch, seed)
         if key not in self._caches:
-            directory = os.path.join(
-                self.config.state_dir,
-                f"measured_v3_serve_{uarch}_{seed}")
-            self._caches[key] = ShardCache(directory)
+            self._caches[key] = ShardCache(store_dir(uarch, seed))
         return self._caches[key]
 
     # ------------------------------------------------------------------
@@ -304,12 +303,12 @@ class ProfilingService:
 
     def _drop_reasons(self, cache: ShardCache, shards: List[Shard],
                       throughputs: Dict[int, float]) -> Dict[int, str]:
-        """Per-block drop reason, read back from the one-block shard.
+        """Per-block drop reason, read back from the block's entry.
 
         A block missing from the merged throughputs was dropped; its
-        shard's cached funnel (single block, so at most one non-zero
-        dropped bucket) names the reason.  A shard that never made it
-        to the cache (worker failure, disk full) reads as ``unknown``.
+        store entry names the reason.  A block whose entry never made
+        it to the store (worker failure, disk full) reads as
+        ``unknown``.
         """
         reasons: Dict[int, str] = {}
         for shard in shards:
@@ -318,12 +317,8 @@ class ProfilingService:
                 continue
             reason = "unknown"
             profile = cache.load(shard)
-            if profile is not None:
-                dropped = profile.funnel.get("dropped") or {}
-                for name, count in sorted(dropped.items()):
-                    if count:
-                        reason = name
-                        break
+            if profile is not None and profile.funnel["dropped"]:
+                (reason,) = profile.funnel["dropped"]
             reasons[block_id] = reason
         return reasons
 

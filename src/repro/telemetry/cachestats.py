@@ -3,8 +3,8 @@
 The repo has five caches, each of which used to report ad hoc or not
 at all:
 
-* the **shard cache** (``parallel/shard_cache.py``) — on-disk
-  per-shard profile store;
+* the **shard cache** (``parallel/shard_cache.py``) — the on-disk
+  per-block measurement store, read and written a shard at a time;
 * the **block-plan cache** (``runtime/plan.py``) — compiled symbolic
   plans plus per-executor bound plans;
 * the **decode intern table** (``isa/parser.py``) — the simcore

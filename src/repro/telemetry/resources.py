@@ -9,9 +9,9 @@ a ``resources`` section combining it with the profiling engine's
 ``stream.*`` counters (shards submitted/folded, in-flight queue depth
 distribution and its high-water mark).
 
-``ru_maxrss`` is a whole-process high-water mark — it never goes down
-— so comparing configurations (e.g. streamed scale S vs 10 S) needs
-one process per configuration; the bench does exactly that.
+The peak is a whole-process high-water mark — it never goes down — so
+comparing configurations (e.g. streamed scale S vs 10 S) needs one
+process per configuration; the bench does exactly that.
 """
 
 from __future__ import annotations
@@ -27,10 +27,21 @@ __all__ = ["peak_rss_kb", "sample_peak_rss", "resources_section"]
 def peak_rss_kb() -> Optional[int]:
     """The process's peak resident set size in KiB, or ``None``.
 
-    ``getrusage`` reports KiB on Linux and bytes on macOS; platforms
-    without the ``resource`` module (Windows) read as ``None`` and the
-    report section simply omits the gauge.
+    Reads this process's own ``VmHWM`` from ``/proc/self/status``: on
+    Linux ``ru_maxrss`` carries the parent's high-water mark across
+    ``exec``, so a small child of a large parent would report the
+    parent's peak.  Elsewhere falls back to ``getrusage`` (KiB on Linux,
+    bytes on macOS); platforms without the ``resource`` module
+    (Windows) read as ``None`` and the report section simply omits the
+    gauge.
     """
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except (OSError, ValueError, IndexError):
+        pass
     try:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX

@@ -25,13 +25,18 @@ class TestLaziness:
         assert len(tiny.classification.categories) == len(tiny.corpus)
 
 
+def _entries(store):
+    return {entry for prefix in os.listdir(store) if len(prefix) == 2
+            for entry in os.listdir(store / prefix)}
+
+
 class TestMeasurementCache:
     def test_disk_cache_roundtrip(self, tiny, tmp_path):
         first = tiny.measured("haswell")
         dirs = [f for f in os.listdir(tmp_path)
-                if f.startswith("measured_v3_")]
-        assert dirs == ["measured_v3_main_haswell_9"]
-        assert os.listdir(tmp_path / dirs[0])  # per-shard entries
+                if f.startswith("measured_")]
+        assert dirs == ["measured_v4_haswell_9"]
+        assert _entries(tmp_path / dirs[0])  # per-block entries
         # A fresh experiment object reads the cache instead of
         # re-simulating.
         again = Experiment(scale=0.0003, seed=9)
@@ -39,22 +44,22 @@ class TestMeasurementCache:
         assert again.funnel("haswell") == tiny.funnel("haswell")
 
     def test_cache_keyed_by_shard_content(self, tiny, tmp_path):
-        """v3 keys shard files by content digest: a different corpus
-        (different scale) adds new shard entries to the same
-        (tag, uarch, seed) directory instead of matching stale ones."""
+        """Entries are keyed by block content: a different corpus
+        (different scale) adds entries for its new blocks to the same
+        (uarch, seed) store instead of matching stale ones."""
         tiny.measured("haswell")
-        shard_dir = tmp_path / "measured_v3_main_haswell_9"
-        before = set(os.listdir(shard_dir))
+        store = tmp_path / "measured_v4_haswell_9"
+        before = _entries(store)
         other = Experiment(scale=0.0004, seed=9)
         other.measured("haswell")
-        after = set(os.listdir(shard_dir))
-        assert after - before  # new content -> new shard entries
+        after = _entries(store)
+        assert after - before  # new content -> new entries
 
     def test_grown_corpus_reprofiles_only_new_shards(self, tiny,
                                                      tmp_path):
         """Incremental invalidation: appending shard-aligned blocks
-        leaves existing shard entries valid, so a re-run only
-        profiles the tail."""
+        leaves existing entries valid, so a re-run only profiles the
+        tail."""
         from repro.corpus.dataset import Corpus, build_application
 
         records = build_application("llvm", count=40, seed=9).records
@@ -63,29 +68,41 @@ class TestMeasurementCache:
 
         first = Experiment(scale=0.0003, seed=9, shard_size=10)
         measured_base = first.measured("haswell", corpus=base)
-        shard_dir = tmp_path / "measured_v3_main_haswell_9"
-        before = {name for name in os.listdir(shard_dir)
-                  if name.startswith("shard_")}
-        assert len(before) == 3
-        # The always-on run journal lives next to the shard files.
-        assert "journal.ndjson" in os.listdir(shard_dir)
+        store = tmp_path / "measured_v4_haswell_9"
+        before = _entries(store)
+        assert len(before) == 30
+        # The always-on run journal lives in the store, one per tag.
+        assert "journal_main.ndjson" in os.listdir(store)
 
         second = Experiment(scale=0.0003, seed=9, shard_size=10)
         measured_grown = second.measured("haswell", corpus=grown)
-        after = {name for name in os.listdir(shard_dir)
-                 if name.startswith("shard_")}
-        # Every pre-existing shard entry was reused verbatim; only
-        # the appended shard produced a new entry.
+        after = _entries(store)
+        # Every pre-existing entry was reused verbatim; only the
+        # appended shard's blocks produced new entries.
         assert before <= after
-        assert len(after - before) == 1
+        assert len(after - before) == 10
         for block_id, value in measured_base.items():
             assert measured_grown[block_id] == value
+
+    def test_tags_share_one_store(self, tiny, tmp_path):
+        """Every corpus tag reads and writes the same (uarch, seed)
+        store; each keeps its own run journal."""
+        tiny.measured("haswell")
+        store = tmp_path / "measured_v4_haswell_9"
+        before = _entries(store)
+        again = Experiment(scale=0.0003, seed=9)
+        again.measured("haswell", corpus=tiny.corpus, tag="spanner")
+        assert _entries(store) == before
+        assert [f for f in os.listdir(tmp_path)
+                if f.startswith("measured_")] == ["measured_v4_haswell_9"]
+        assert {"journal_main.ndjson", "journal_spanner.ndjson"} <= \
+            set(os.listdir(store))
 
     def test_measured_jobs_override_is_bit_identical(self, tiny,
                                                      tmp_path):
         serial = tiny.measured("haswell")
         import shutil
-        shutil.rmtree(tmp_path / "measured_v3_main_haswell_9")
+        shutil.rmtree(tmp_path / "measured_v4_haswell_9")
         fresh = Experiment(scale=0.0003, seed=9)
         parallel = fresh.measured("haswell", jobs=2)
         assert parallel == serial

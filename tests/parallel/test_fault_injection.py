@@ -106,8 +106,8 @@ class TestCacheIntegrityUnderFailure:
                                shard_size=8, cache=cache,
                                worker_fn=worker_raises,
                                serial_fn=serial_retry_fails)
-        assert cache.shard_files() == []
-        assert not any(n.endswith(".tmp") for n in os.listdir(tmp_path))
+        assert cache.entry_count() == 0
+        assert os.listdir(cache.tmp_dir) == []
 
     def test_rescued_shards_are_cached_correctly(self, corpus, serial,
                                                  tmp_path):
@@ -115,7 +115,7 @@ class TestCacheIntegrityUnderFailure:
         profile_corpus_sharded(corpus, "haswell", seed=0, jobs=2,
                                shard_size=8, cache=cache,
                                worker_fn=worker_dies)
-        assert len(cache.shard_files()) == 2
+        assert cache.entry_count() == len(corpus)
         # Cached bytes replay the serial result exactly.
         replay = profile_corpus_sharded(corpus, "haswell", seed=0,
                                         jobs=2, shard_size=8,
@@ -128,12 +128,11 @@ class TestCacheIntegrityUnderFailure:
                                                     tmp_path,
                                                     monkeypatch):
         """Atomicity: dying between the temp write and ``os.replace``
-        (or mid temp write) must not surface a shard entry."""
+        (or mid temp write) must not surface a store entry."""
         cache = ShardCache(str(tmp_path))
         (shard,) = shard_corpus(corpus.records[:8], 8)
-        profile = CorpusProfile(
-            throughputs={r.block_id: 1.0 for r in shard.records},
-            funnel={"total": 8, "accepted": 8, "dropped": {}})
+        profile = CorpusProfile.from_outcomes(
+            shard.records, [(1.0, ())] * len(shard))
 
         # Kill #1: process dies before the rename — only the temp
         # file exists on disk.
@@ -144,13 +143,15 @@ class TestCacheIntegrityUnderFailure:
             cache.store(shard, profile)
         monkeypatch.undo()
         assert cache.load(shard) is None
-        assert cache.shard_files() == []
+        assert cache.entry_count() == 0
 
         # Kill #2: a truncated temp file left behind by a dead pid is
         # ignored by the loader and never shadows the real entry.
-        orphan = cache.path_for(shard) + ".9999.tmp"
+        orphan = os.path.join(
+            cache.tmp_dir,
+            os.path.basename(cache.entry_paths(shard)[0]) + ".9999.tmp")
         with open(orphan, "w") as fh:
-            fh.write('{"version": 3, "truncat')
+            fh.write('{"throughput": 1.0, "ex')
         assert cache.load(shard) is None
 
         # A later clean write goes through untouched.

@@ -21,7 +21,7 @@ from repro.corpus.dataset import build_application
 from repro.eval.validation import profile_corpus_detailed
 from repro.parallel import (ShardCache, profile_corpus_sharded,
                             profile_corpus_streamed, shard_corpus)
-from repro.resilience import JOURNAL_NAME, RunJournal
+from repro.resilience import RunJournal, journal_name
 from repro.runtime import plan
 
 UARCHES = ("ivybridge", "haswell", "skylake")
@@ -115,7 +115,8 @@ def test_journal_requires_identity(tmp_path):
     """A streamed run cannot digest a corpus it hasn't generated yet,
     so journalling demands an explicit identity."""
     cache = ShardCache(str(tmp_path))
-    journal = RunJournal(os.path.join(str(tmp_path), JOURNAL_NAME))
+    journal = RunJournal(os.path.join(str(tmp_path),
+                                      journal_name("main")))
     with pytest.raises(ValueError):
         profile_corpus_streamed(iter(_records(count=4)), "haswell",
                                 seed=5, cache=cache, journal=journal)
@@ -153,7 +154,7 @@ def test_streamed_run_is_rerunnable_from_journal(tmp_path):
     def run():
         cache = ShardCache(str(tmp_path))
         journal = RunJournal(os.path.join(cache.directory,
-                                          JOURNAL_NAME))
+                                          journal_name("main")))
         stats = {}
         profile = profile_corpus_streamed(
             iter(records), "haswell", seed=5, jobs=2, shard_size=4,

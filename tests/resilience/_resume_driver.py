@@ -49,7 +49,7 @@ def main(argv):
     from repro.corpus.dataset import build_application
     from repro.parallel import (ShardCache, profile_corpus_sharded,
                                 shard_corpus)
-    from repro.resilience import JOURNAL_NAME, RunJournal
+    from repro.resilience import RunJournal, journal_name
 
     if os.environ.get("RESUME_DRIVER_CORPUS") == "families":
         corpus = _family_corpus()
@@ -66,7 +66,7 @@ def main(argv):
             return super().store(shard, profile)
 
     cache = SlowStoreCache(cache_dir)
-    journal = RunJournal(os.path.join(cache_dir, JOURNAL_NAME))
+    journal = RunJournal(os.path.join(cache_dir, journal_name("main")))
     stats = {}
     if os.environ.get("RESUME_DRIVER_STREAM") == "1":
         # The streamed leg: same records, but fed as a generator the

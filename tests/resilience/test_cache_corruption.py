@@ -1,12 +1,11 @@
-"""Corrupt cache files must quarantine, never crash.
+"""Corrupt measurement-store entries must quarantine, never crash.
 
-Property tests feed truncated, garbage, and wrong-schema payloads to
-every cache-loader generation — the v3 shard loader
-(``ShardCache.load``), the journal-verified load path, and the legacy
-v1/v2 monolithic loader — and assert the same contract everywhere: the
-load reads as a miss, the offending file lands in ``quarantine/``
-(or raises under ``--strict``), and a subsequent run re-profiles to a
-funnel that reconciles exactly.
+Property tests feed truncated, garbage, wrong-schema and wrong-typed
+entries to the store's loader (``ShardCache.load``) and to the
+journal-verified load path, and assert one contract everywhere: the
+load reads as a miss, the offending entry lands in ``quarantine/``
+(or raises under ``--strict``), and a subsequent run re-profiles to
+the clean run's exact bytes.
 """
 
 import json
@@ -21,7 +20,6 @@ import pytest
 from repro import envvars, telemetry
 from repro.corpus.dataset import build_application
 from repro.errors import StrictModeViolation
-from repro.eval.pipeline import _load_cache, _store_cache
 from repro.parallel import (ShardCache, profile_corpus_sharded,
                             shard_corpus)
 from repro.parallel.engine import _load_verified
@@ -58,7 +56,7 @@ def shards(corpus):
 
 @pytest.fixture(scope="module")
 def seeded(corpus, shards, tmp_path_factory):
-    """A fully populated v3 cache directory plus its clean profile."""
+    """A fully populated store directory plus its clean profile."""
     directory = str(tmp_path_factory.mktemp("seed-cache"))
     cache = ShardCache(directory)
     profile = profile_corpus_sharded(corpus, "haswell", seed=0, jobs=1,
@@ -69,11 +67,9 @@ def seeded(corpus, shards, tmp_path_factory):
 def _fresh_cache(template: str) -> ShardCache:
     """Copy the seeded cache so each (hypothesis) example corrupts
     its own private directory."""
-    directory = tempfile.mkdtemp(prefix="repro-corrupt-")
-    for name in os.listdir(template):
-        if name.endswith(".json"):
-            shutil.copy(os.path.join(template, name),
-                        os.path.join(directory, name))
+    directory = os.path.join(tempfile.mkdtemp(prefix="repro-corrupt-"),
+                             "store")
+    shutil.copytree(template, directory)
     return ShardCache(directory)
 
 
@@ -83,8 +79,32 @@ def _assert_quarantined(cache: ShardCache, path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# v3 shard loader
+# Entry loader
 # ---------------------------------------------------------------------------
+
+#: Entries that decode as JSON but are not exactly a finite throughput
+#: > 0 or a reason string, plus a list of string extras.
+WRONG_TYPED = {
+    "not_a_dict": [{"throughput": 1.5, "extra": []}],
+    "throughput_list": {"throughput": [1, 2], "extra": []},
+    "throughput_string": {"throughput": "abc", "extra": []},
+    "throughput_negative": {"throughput": -5.0, "extra": []},
+    "throughput_zero": {"throughput": 0.0, "extra": []},
+    "throughput_int": {"throughput": 3, "extra": []},
+    "throughput_bool": {"throughput": True, "extra": []},
+    "throughput_nan": {"throughput": float("nan"), "extra": []},
+    "throughput_inf": {"throughput": float("inf"), "extra": []},
+    "dropped_mapping": {"dropped": {"x": "3"}, "extra": []},
+    "dropped_empty": {"dropped": "", "extra": []},
+    "funnel_list": {"funnel": [1], "extra": []},
+    "both_outcomes": {"throughput": 1.5, "dropped": "sigfpe",
+                      "extra": []},
+    "extra_missing": {"throughput": 1.5},
+    "extra_not_a_list": {"throughput": 1.5, "extra": "fastpath"},
+    "extra_not_strings": {"throughput": 1.5, "extra": [1]},
+    "extra_key": {"throughput": 1.5, "extra": [], "version": 3},
+}
+
 
 @needs_hypothesis
 class TestV3Corruption:
@@ -94,7 +114,7 @@ class TestV3Corruption:
                                                   cut):
         cache = _fresh_cache(seeded[0])
         shard = shards[0]
-        path = cache.path_for(shard)
+        path = cache.entry_paths(shard)[1]
         with open(path, "rb") as fh:
             data = fh.read()
         with open(path, "wb") as fh:
@@ -108,42 +128,40 @@ class TestV3Corruption:
                                                noise):
         cache = _fresh_cache(seeded[0])
         shard = shards[1]
-        path = cache.path_for(shard)
+        path = cache.entry_paths(shard)[0]
         with open(path, "wb") as fh:
             fh.write(noise)
         assert cache.load(shard) is None
         _assert_quarantined(cache, path)
 
-    @given(mutation=st.sampled_from([
-        "wrong_version", "wrong_digest", "wrong_count", "not_a_dict",
-        "funnel_missing", "funnel_unbalanced", "offsets_out_of_range",
-    ]))
+    @given(mutation=st.sampled_from(sorted(WRONG_TYPED)))
     @settings(**CORRUPTION_SETTINGS)
     def test_wrong_schema_reads_as_quarantined_miss(self, seeded,
                                                     shards, mutation):
         cache = _fresh_cache(seeded[0])
         shard = shards[0]
-        path = cache.path_for(shard)
-        with open(path) as fh:
-            doc = json.load(fh)
-        if mutation == "wrong_version":
-            doc["version"] = 2
-        elif mutation == "wrong_digest":
-            doc["digest"] = "00000000-0"
-        elif mutation == "wrong_count":
-            doc["count"] += 1
-        elif mutation == "not_a_dict":
-            doc = [doc]
-        elif mutation == "funnel_missing":
-            del doc["funnel"]
-        elif mutation == "funnel_unbalanced":
-            doc["funnel"]["accepted"] += 1
-        elif mutation == "offsets_out_of_range":
-            doc["throughputs"] = {"999": 1.0}
+        path = cache.entry_paths(shard)[-1]
         with open(path, "w") as fh:
-            json.dump(doc, fh)
+            json.dump(WRONG_TYPED[mutation], fh)
         assert cache.load(shard) is None
         _assert_quarantined(cache, path)
+
+
+@pytest.mark.parametrize("payload", [
+    *(json.dumps(doc).encode() for doc in WRONG_TYPED.values()),
+    b'{"throughput": 1.5, "ext', b"", b"\x00\xff garbage {{{",
+], ids=[*WRONG_TYPED, "truncated", "empty", "garbage"])
+def test_wrong_typed_entry_is_quarantined(seeded, shards, payload):
+    """Every defective entry is a quarantined miss: no exception, no
+    served value of the wrong type, no funnel that overstates."""
+    cache = _fresh_cache(seeded[0])
+    shard = shards[0]
+    path = cache.entry_paths(shard)[0]
+    with open(path, "wb") as fh:
+        fh.write(payload)
+    assert cache.load(shard) is None
+    _assert_quarantined(cache, path)
+    assert _load_verified(cache, shard, {}) is None
 
 
 class TestV3Recovery:
@@ -151,10 +169,10 @@ class TestV3Recovery:
                                                       corpus, shards):
         directory, clean = seeded
         cache = _fresh_cache(directory)
-        first = cache.path_for(shards[0])
+        first = cache.entry_paths(shards[0])[0]
         with open(first, "r+") as fh:
             fh.truncate(10)
-        with open(cache.path_for(shards[1]), "w") as fh:
+        with open(cache.entry_paths(shards[1])[2], "w") as fh:
             fh.write("\x00 garbage {{{")
         profile = profile_corpus_sharded(corpus, "haswell", seed=0,
                                          jobs=1, shards=shards,
@@ -167,12 +185,12 @@ class TestV3Recovery:
         assert funnel["accepted"] + sum(funnel["dropped"].values()) \
             == funnel["total"]
         assert len(cache.quarantined_files()) == 2
-        # The cache healed: both shards were re-written.
-        assert all(shard in cache for shard in shards)
+        # The store healed: both shards' entries were re-written.
+        assert all(cache.load(shard) is not None for shard in shards)
 
     def test_strict_mode_raises_instead(self, seeded, shards):
         cache = _fresh_cache(seeded[0])
-        path = cache.path_for(shards[0])
+        path = cache.entry_paths(shards[0])[0]
         with open(path, "w") as fh:
             fh.write("not json")
         with envvars.forced("REPRO_STRICT", True):
@@ -187,85 +205,22 @@ class TestV3Recovery:
         recorded = cache.checksum(shard)
         assert _load_verified(cache, shard,
                               {shard.digest: recorded}) is not None
-        # Corrupt *after* journaling in a way that keeps the JSON
+        # Corrupt *after* journaling in a way that keeps the entry
         # structurally valid — only the checksum can catch this.
-        with open(cache.path_for(shard), "a") as fh:
+        path = cache.entry_paths(shard)[1]
+        with open(path, "a") as fh:
             fh.write(" ")
         assert _load_verified(cache, shard,
                               {shard.digest: recorded}) is None
-        _assert_quarantined(cache, cache.path_for(shard))
+        for entry in cache.entry_paths(shard):
+            _assert_quarantined(cache, entry)
 
-
-# ---------------------------------------------------------------------------
-# Legacy v1/v2 monolithic loader
-# ---------------------------------------------------------------------------
-
-def _legacy_path() -> str:
-    return os.path.join(tempfile.mkdtemp(prefix="repro-legacy-"),
-                        "measured_main_haswell_0_deadbeef.json")
-
-
-@needs_hypothesis
-class TestLegacyCorruption:
-    @given(noise=st.binary(max_size=80))
-    @settings(**CORRUPTION_SETTINGS)
-    def test_garbage_quarantines(self, noise):
-        path = _legacy_path()
-        with open(path, "wb") as fh:
-            fh.write(noise)
-        assert _load_cache(path) is None
-        assert not os.path.exists(path)
-        quarantine = os.path.join(os.path.dirname(path), "quarantine")
-        assert os.path.basename(path) in os.listdir(quarantine)
-
-    @given(payload=st.sampled_from([
-        [1, 2, 3],                                  # not a mapping
-        {"version": 2},                             # throughputs gone
-        {"version": 2, "throughputs": {"x": 1.0}},  # non-int key
-        {"version": 2, "throughputs": {"1": "a"}},  # non-float value
-        {"version": 2, "throughputs": {}, "funnel": "zap"},
-        {"7": "fast"},                              # v1, bad value
-    ]))
-    @settings(**CORRUPTION_SETTINGS)
-    def test_wrong_schema_quarantines(self, payload):
-        path = _legacy_path()
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-        assert _load_cache(path) is None
-        assert not os.path.exists(path)
-
-    @given(cut=st.floats(min_value=0.0, max_value=0.95))
-    @settings(**CORRUPTION_SETTINGS)
-    def test_truncation_quarantines(self, cut):
-        from repro.eval.validation import CorpusProfile
-        path = _legacy_path()
-        _store_cache(path, CorpusProfile(
-            throughputs={1: 2.0, 2: 3.5},
-            funnel={"total": 2, "accepted": 2, "dropped": {}}))
-        with open(path, "rb") as fh:
-            data = fh.read()
-        with open(path, "wb") as fh:
-            fh.write(data[:int(len(data) * cut)])
-        assert _load_cache(path) is None
-        assert not os.path.exists(path)
-
-
-class TestLegacyStrict:
-    def test_strict_mode_raises(self):
-        path = _legacy_path()
-        with open(path, "w") as fh:
-            fh.write("not json")
-        with envvars.forced("REPRO_STRICT", True):
-            with pytest.raises(StrictModeViolation):
-                _load_cache(path)
-        assert os.path.exists(path)
-
-    def test_quarantine_is_counted(self):
+    def test_quarantine_is_counted(self, seeded, shards):
         telemetry.enable()
-        path = _legacy_path()
-        with open(path, "w") as fh:
+        cache = _fresh_cache(seeded[0])
+        with open(cache.entry_paths(shards[0])[0], "w") as fh:
             fh.write("not json")
-        assert _load_cache(path) is None
+        assert cache.load(shards[0]) is None
         counters = telemetry.registry().snapshot()["counters"]
         assert counters["resilience.quarantined.cache_files"] == 1
 
@@ -281,23 +236,22 @@ class TestStaleTempSweep:
         proc.wait()
         dead_pid = proc.pid  # reaped: guaranteed-dead pid
         directory = tmp_path / "cache"
-        directory.mkdir()
-        (directory / f"shard_abc.json.{dead_pid}.tmp").write_text("x")
-        (directory / "noise.tmp").write_text("x")  # unparsable name
-        live = (directory / f"shard_def.json.{os.getppid()}.tmp")
+        temps = directory / "tmp"
+        temps.mkdir(parents=True)
+        (temps / f"abc.json.{dead_pid}.tmp").write_text("x")
+        (temps / "noise.tmp").write_text("x")  # unparsable name
+        live = (temps / f"def.json.{os.getppid()}.tmp")
         live.write_text("x")
         ShardCache(str(directory))
-        names = set(os.listdir(directory))
-        assert f"shard_abc.json.{dead_pid}.tmp" not in names
-        assert "noise.tmp" not in names
-        assert live.name in names  # another live writer's temp
+        names = set(os.listdir(temps))
+        assert names == {live.name}  # another live writer's temp
         counters = telemetry.registry().snapshot()["counters"]
         assert counters["resilience.stale_temps_swept"] == 2
 
     def test_own_previous_incarnation_is_swept(self, tmp_path):
-        directory = tmp_path / "cache"
-        directory.mkdir()
-        mine = directory / f"shard_abc.json.{os.getpid()}.tmp"
+        temps = tmp_path / "cache" / "tmp"
+        temps.mkdir(parents=True)
+        mine = temps / f"abc.json.{os.getpid()}.tmp"
         mine.write_text("x")
-        ShardCache(str(directory))
+        ShardCache(str(tmp_path / "cache"))
         assert not mine.exists()

@@ -151,7 +151,7 @@ class TestAllFaultsAcceptance:
             sum(healed.funnel["dropped"].values()) == len(corpus)
         assert len(cache.quarantined_files()) == \
             plan["cache_truncate"] + plan["cache_garbage"]
-        assert all(shard in cache for shard in shards)
+        assert all(cache.load(shard) is not None for shard in shards)
 
 
 class TestTransparentChaos:

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.resilience.journal import (JOURNAL_NAME, RunJournal,
+from repro.resilience.journal import (RunJournal, journal_name,
                                       journal_line)
 
 META = {"uarch": "haswell", "seed": 0, "shards": 3,
@@ -10,7 +10,7 @@ META = {"uarch": "haswell", "seed": 0, "shards": 3,
 
 
 def _journal(tmp_path):
-    return RunJournal(str(tmp_path / JOURNAL_NAME))
+    return RunJournal(str(tmp_path / journal_name("main")))
 
 
 class TestRoundTrip:
@@ -47,7 +47,7 @@ class TestTornLines:
             journal.open(META)
             journal.record_shard("aaa-0", 0, 111)
             journal.record_shard("bbb-1", 1, 222)
-        path = tmp_path / JOURNAL_NAME
+        path = tmp_path / journal_name("main")
         data = path.read_text()
         path.write_text(data[:-15])  # SIGKILL mid-write
 
@@ -61,7 +61,7 @@ class TestTornLines:
         with _journal(tmp_path) as journal:
             journal.open(META)
             journal.record_shard("aaa-0", 0, 111)
-        path = tmp_path / JOURNAL_NAME
+        path = tmp_path / journal_name("main")
         lines = path.read_text().splitlines()
         lines[-1] = lines[-1].replace('"checksum": 111',
                                      '"checksum": 112')
@@ -73,7 +73,7 @@ class TestTornLines:
         resumed.close()
 
     def test_garbage_journal_starts_fresh(self, tmp_path):
-        path = tmp_path / JOURNAL_NAME
+        path = tmp_path / journal_name("main")
         path.write_text("\x00 not json at all {{{\n")
         journal = _journal(tmp_path)
         assert journal.open(META) == {}
@@ -98,7 +98,7 @@ class TestIdentityPinning:
         again.close()
 
     def test_wrong_version_rotates(self, tmp_path):
-        path = tmp_path / JOURNAL_NAME
+        path = tmp_path / journal_name("main")
         begin = journal_line({"kind": "begin", "version": 999,
                            "meta": META})
         shard = journal_line({"kind": "shard", "digest": "aaa-0",
@@ -114,6 +114,7 @@ class TestIdentityPinning:
             journal.record_shard("aaa-0", 0, 111)
         with _journal(tmp_path) as journal:
             journal.open(META)
-        lines = (tmp_path / JOURNAL_NAME).read_text().splitlines()
+        path = tmp_path / journal_name("main")
+        lines = path.read_text().splitlines()
         kinds = [json.loads(line)["rec"]["kind"] for line in lines]
         assert kinds == ["begin", "shard", "resume"]

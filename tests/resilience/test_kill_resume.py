@@ -26,6 +26,7 @@ DRIVER = os.path.join(ROOT, "tests", "resilience", "_resume_driver.py")
 #: window to observe two completed shards and kill the group.
 STORE_SLEEP = "0.25"
 SHARDS = 8
+BLOCKS_PER_SHARD = 2
 
 CASES = [
     pytest.param("ivybridge", 1, {}, id="ivybridge-serial"),
@@ -72,13 +73,21 @@ def _run(cache_dir, out, uarch, jobs, extra):
         return json.load(fh)
 
 
-def _shard_files(cache_dir):
+def _entries(cache_dir):
+    """Entry files in the store (``<kk>/<key>.json``)."""
     try:
-        return [name for name in os.listdir(cache_dir)
-                if name.startswith("shard_")
-                and name.endswith(".json")]
+        prefixes = [name for name in os.listdir(cache_dir)
+                    if len(name) == 2]
     except OSError:
         return []
+    return [entry for prefix in prefixes
+            for entry in os.listdir(os.path.join(cache_dir, prefix))
+            if entry.endswith(".json")]
+
+
+def _stored_shards(cache_dir):
+    """Shards whose entries are all on disk (each holds 2 blocks)."""
+    return len(_entries(cache_dir)) // BLOCKS_PER_SHARD
 
 
 def _kill_mid_run(cache_dir, out, uarch, jobs, extra):
@@ -89,7 +98,7 @@ def _kill_mid_run(cache_dir, out, uarch, jobs, extra):
     deadline = time.time() + 120.0
     try:
         while time.time() < deadline:
-            if len(_shard_files(cache_dir)) >= 2:
+            if _stored_shards(cache_dir) >= 2:
                 break
             if proc.poll() is not None:
                 pytest.fail("driver finished before it could be "
@@ -102,7 +111,7 @@ def _kill_mid_run(cache_dir, out, uarch, jobs, extra):
         except ProcessLookupError:
             pass
         proc.wait(timeout=30)
-    completed = len(_shard_files(cache_dir))
+    completed = _stored_shards(cache_dir)
     assert completed < SHARDS, "kill landed after the run finished"
     return completed
 
@@ -130,4 +139,4 @@ def test_killed_run_resumes_to_identical_bytes(tmp_path, uarch, jobs,
     assert resumed["stats"]["resumed"] >= min(2, completed)
     assert resumed["stats"]["resumed"] + resumed["stats"]["profiled"] \
         == SHARDS
-    assert len(_shard_files(killed_cache)) == SHARDS
+    assert _stored_shards(killed_cache) == SHARDS

@@ -2,7 +2,8 @@
 
 Telemetry is a process-wide hub and chaos a process-wide switchboard;
 both are reset around every test so counter assertions and forced
-policies never leak between cases.
+policies never leak between cases.  The measurement store lives under
+``REPRO_CACHE``, which every test points at its own tmpdir.
 """
 
 import pytest
@@ -17,6 +18,13 @@ def _isolate_telemetry():
     telemetry.reset()
     yield
     telemetry.reset()
+
+
+@pytest.fixture(autouse=True)
+def _isolate_store(tmp_path, monkeypatch):
+    """The daemon measures into the pipeline's store under
+    ``REPRO_CACHE``; every test gets its own."""
+    monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "cache"))
 
 
 @pytest.fixture(autouse=True)

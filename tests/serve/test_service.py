@@ -2,7 +2,7 @@
 
 Everything here runs in-process — the service deliberately owns the
 whole robustness surface without an event loop, so these tests are
-plain function calls against real shard caches in a tmpdir.
+plain function calls against a real measurement store in a tmpdir.
 """
 
 import json
@@ -111,6 +111,29 @@ class TestExecute:
         (r2,), stats = service.execute([second])
         assert stats["cache_hits"] == 2  # both blocks already cached
         assert r2 == [r1[1], r1[0]]
+        service.close()
+
+    def test_pipeline_measurement_answers_the_daemon(self, tmp_path):
+        """The daemon opens the pipeline's (uarch, seed) store: a
+        block ``Experiment.measured`` stored is answered without
+        profiling it again."""
+        from repro import telemetry
+        from repro.corpus.dataset import Corpus, build_application
+        from repro.eval.pipeline import Experiment
+        corpus = Corpus(build_application("llvm", count=4,
+                                          seed=2).records)
+        measured = Experiment(scale=0.0003, seed=0).measured(
+            "haswell", corpus=corpus)
+        record = next(r for r in corpus if r.block_id in measured)
+        service = _service(_config(tmp_path))
+        telemetry.enable()
+        request = _request(service.config, [record.block.text()])
+        (result,), stats = service.execute([request])
+        counters = telemetry.registry().snapshot()["counters"]
+        assert counters["cache.shard.hits"] == 1
+        assert stats["profiled"] == 0
+        assert result == [{"status": "ok",
+                           "throughput": measured[record.block_id]}]
         service.close()
 
     def test_reexecution_is_byte_identical_across_services(self,

@@ -106,29 +106,27 @@ def test_cached_instruction_hash_is_stable():
 
 
 def test_shard_cache_round_trips_info(tmp_path):
-    """The informational tally survives the v3 shard cache."""
+    """The informational tally survives the measurement store."""
     from repro.corpus.dataset import build_application
     from repro.eval.validation import CorpusProfile
     from repro.parallel import ShardCache, shard_corpus
 
     corpus = build_application("llvm", count=4, seed=1)
     shard = shard_corpus(corpus, shard_size=4)[0]
-    profile = CorpusProfile(
-        throughputs={r.block_id: 1.0 for r in shard.records},
-        funnel={"total": 4, "accepted": 4, "dropped": {}},
-        info={"fastpath_extrapolated": 3})
+    profile = CorpusProfile.from_outcomes(
+        shard.records,
+        [(1.0, ("fastpath_extrapolated",))] * 3 + [(1.0, ())])
+    assert profile.info == {"fastpath_extrapolated": 3}
     cache = ShardCache(str(tmp_path))
     cache.store(shard, profile)
     loaded = cache.load(shard)
     assert loaded.info == {"fastpath_extrapolated": 3}
     assert loaded.funnel == profile.funnel
-    # Old-format entries (no "info" key) load as empty info, not None.
-    path = cache.path_for(shard)
-    doc = json.load(open(path))
-    del doc["info"]
+    # An entry with no extras loads as no info, not None.
+    path = cache.entry_paths(shard)[0]
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-    assert cache.load(shard).info == {}
+        json.dump({"throughput": 1.0, "extra": []}, fh)
+    assert cache.load(shard).info == {"fastpath_extrapolated": 2}
 
 
 def test_run_report_funnel_info_is_informational_only():

@@ -88,69 +88,23 @@ class TestExperimentCache:
         assert counters["parallel.shard_cache_hits"] == shards
 
     def test_cache_files_are_versioned_and_atomic(self):
+        from repro.parallel.shard_cache import decode_entry, entry_key
         experiment = Experiment(scale=SMALL_SCALE, seed=7)
         experiment.measured("haswell")
         (name,) = os.listdir(self.cache)
-        assert name == "measured_v3_main_haswell_7"
-        entries = os.listdir(self.cache / name)
-        # The run journal (crash-safe resume) is co-located with the
-        # shard files.
-        assert "journal.ndjson" in entries
-        shard_files = [f for f in entries if f.startswith("shard_")]
-        assert shard_files
-        assert not any(f.endswith(".tmp") for f in entries)
-        total = 0
-        for shard_file in shard_files:
-            with open(self.cache / name / shard_file) as fh:
-                doc = json.load(fh)
-            assert doc["version"] == 3
-            assert doc["digest"] in shard_file
-            total += doc["funnel"]["total"]
-        assert total == len(experiment.corpus)
-
-    def _rewrite_as_legacy(self, version: int):
-        """Replace the v3 shard dir with a legacy monolithic file."""
-        import shutil
-        from repro.eval.pipeline import (_corpus_digest,
-                                         _legacy_cache_path,
-                                         _store_cache)
-        from repro.eval.validation import CorpusProfile
-        experiment = Experiment(scale=SMALL_SCALE, seed=7)
-        measured = experiment.measured("haswell")
-        funnel = experiment.funnel("haswell")
-        shutil.rmtree(self.cache / "measured_v3_main_haswell_7")
-        path = _legacy_cache_path("main", "haswell", 7,
-                                  _corpus_digest(experiment.corpus))
-        if version == 2:
-            _store_cache(path, CorpusProfile(measured, funnel))
-        else:
-            with open(path, "w") as fh:
-                json.dump({str(k): v for k, v in measured.items()}, fh)
-        return measured, funnel
-
-    def test_legacy_v2_cache_migrates_with_exact_funnel(self):
-        measured, funnel = self._rewrite_as_legacy(version=2)
-        fresh = Experiment(scale=SMALL_SCALE, seed=7)
-        assert fresh.measured("haswell") == measured
-        # Merge-on-load: the per-reason breakdown survives migration
-        # in aggregate (the Table-I view is exact).
-        assert fresh.funnel("haswell") == funnel
-        assert os.path.isdir(self.cache / "measured_v3_main_haswell_7")
-
-    def test_legacy_v1_cache_still_loads(self):
-        measured, _ = self._rewrite_as_legacy(version=1)
-        fresh = Experiment(scale=SMALL_SCALE, seed=7)
-        assert fresh.measured("haswell") == measured
-        # The per-reason breakdown is gone, but coverage still
-        # accounts for every block.
-        funnel = fresh.funnel("haswell")
-        assert funnel["total"] == len(fresh.corpus)
-        assert funnel["accepted"] == len(measured)
-        dropped = funnel["dropped"]
-        assert sum(dropped.values()) == funnel["total"] - \
-            funnel["accepted"]
-        if dropped:
-            assert set(dropped) == {"unknown_pre_telemetry_cache"}
+        assert name == "measured_v4_haswell_7"
+        store = self.cache / name
+        # The run journal (crash-safe resume) lives in the store.
+        assert "journal_main.ndjson" in os.listdir(store)
+        assert os.listdir(store / "tmp") == []
+        keys = {entry_key(r.block.text()) for r in experiment.corpus}
+        for key in keys:
+            with open(store / key[:2] / f"{key}.json", "rb") as fh:
+                assert decode_entry(fh.read()) is not None
+        stored = [entry for prefix in os.listdir(store)
+                  if len(prefix) == 2
+                  for entry in os.listdir(store / prefix)]
+        assert len(stored) == len(keys)
 
 
 class TestRunReport:

@@ -1,6 +1,9 @@
 """Peak-RSS gauge and the report's ``resources`` section."""
 
 import json
+import os
+import subprocess
+import sys
 
 from repro.corpus.dataset import build_application
 from repro.parallel import profile_corpus_streamed
@@ -25,6 +28,30 @@ class TestPeakRss:
         peak = sample_peak_rss()
         snap = registry().snapshot()
         assert snap["gauges"]["resources.peak_rss_kb"] == peak
+
+
+    def test_child_reports_its_own_peak_not_its_parents(self):
+        """``ru_maxrss`` carries a parent's high-water mark across
+        ``exec``; a small child of a large parent must still report
+        its own peak."""
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        child = ("from repro.telemetry.resources import peak_rss_kb; "
+                 "print(peak_rss_kb())")
+        parent = (
+            "import subprocess, sys\n"
+            "ballast = b'x' * (192 << 20)\n"
+            f"out = subprocess.run([sys.executable, '-c', {child!r}],\n"
+            "                      capture_output=True, text=True,\n"
+            "                      check=True)\n"
+            "print(out.stdout.strip())\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + \
+            env.get("PYTHONPATH", "")
+        out = subprocess.run([sys.executable, "-c", parent], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        child_kb = int(out.stdout.strip())
+        assert 0 < child_kb < 128 * 1024
 
 
 class TestResourcesSection:

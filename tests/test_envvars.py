@@ -165,13 +165,13 @@ class TestCacheRoot:
             self, tmp_path, monkeypatch):
         """The daemon and the batch CLI share one cache tree, whatever
         the working directory."""
-        from repro.eval.pipeline import _cache_dir
+        from repro.parallel.shard_cache import store_dir
         from repro.serve.config import ServeConfig
         monkeypatch.delenv("REPRO_CACHE", raising=False)
         monkeypatch.delenv("REPRO_SERVE_STATE", raising=False)
         monkeypatch.chdir(tmp_path)
-        assert ServeConfig().state_dir == \
-            os.path.join(_cache_dir(), "serve")
+        root = os.path.dirname(store_dir("haswell", 0))
+        assert ServeConfig().state_dir == os.path.join(root, "serve")
 
 
 def _environ_reads(path):
