@@ -11,8 +11,9 @@ and enforces two claims:
   sampled execution frequency, which is what corpus-level dedup
   exploits: BHive's 2M+ samples contain ~300k unique blocks) the fast
   path must win by at least ``SPEEDUP_FLOOR`` (3x).  The unique-corpus
-  speedup (no dedup leverage, pure extrapolation + caching) is also
-  measured and reported, but only the composed number is asserted.
+  speedup (no dedup leverage: trace reuse, annotation replication,
+  the combined two-factor checkpoint and caching) is also measured
+  and reported, but only the composed number is asserted.
 
 Timing is best-of-``REPEATS`` per mode with fresh profilers per run,
 so neither mode sees the other's caches.  Results land in
@@ -154,5 +155,6 @@ def test_simcore_fastpath(report):
 
     assert rep_speedup >= SPEEDUP_FLOOR, (
         f"fast path {rep_speedup:.2f}x < {SPEEDUP_FLOOR}x on the "
-        f"frequency-replicated corpus — extrapolation, caching, or "
-        f"dedup regressed")
+        f"frequency-replicated corpus — trace reuse, annotation "
+        f"replication, the two-factor checkpoint, caching or dedup "
+        f"regressed")

@@ -19,7 +19,6 @@ from typing import Dict, Optional
 from repro.errors import ModelError, UnsupportedInstructionError
 from repro.isa.instruction import BasicBlock
 from repro.telemetry import core as telemetry
-from repro.uarch.scheduler import ScheduleResult
 
 
 @dataclass
@@ -29,10 +28,6 @@ class Prediction:
     model: str
     uarch: str
     throughput: Optional[float]
-    #: Predicted dispatch schedule, when the model is a simulator
-    #: (used for the paper's scheduling figure).  Ithemal returns a
-    #: single number with no interpretable trace.
-    schedule: Optional[ScheduleResult] = None
     error: Optional[str] = None
 
     @property

@@ -11,12 +11,14 @@ the same dataflow scheduler as the ground-truth machine, but:
   division fast-path detection, perfect-L1 assumptions,
 
 and derives steady-state throughput from two unroll factors, exactly
-like IACA's infinite-loop steady-state definition.
+like IACA's infinite-loop steady-state definition.  Both readings come
+from one schedule: the scheduler is online, so the makespan after the
+smaller factor is a checkpoint of the run to the larger one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from repro.isa.instruction import BasicBlock
 from repro.models.base import CostModel, Prediction
@@ -72,15 +74,13 @@ class PortSimulatorModel(CostModel):
             self._schedulers[uarch] = sched
         return sched
 
-    def simulate(self, block: BasicBlock, uarch: str
-                 ) -> Tuple[float, ScheduleResult]:
+    def simulate(self, block: BasicBlock, uarch: str) -> float:
         """Raw simulated throughput (before the residual)."""
         sched = self._scheduler(uarch)
         u1, u2 = self.UNROLL_PAIR
-        c1 = sched.schedule(block, u1).cycles
-        result2 = sched.schedule(block, u2, keep_records=True)
-        throughput = (result2.cycles - c1) / (u2 - u1)
-        return max(throughput, 1.0 / sched.desc.issue_width), result2
+        result = sched.schedule(block, u2, checkpoint=u1)
+        throughput = (result.cycles - result.checkpoint_cycles) / (u2 - u1)
+        return max(throughput, 1.0 / sched.desc.issue_width)
 
     def schedule_trace(self, block: BasicBlock, uarch: str,
                        unroll: int = 3) -> ScheduleResult:
@@ -91,9 +91,8 @@ class PortSimulatorModel(CostModel):
 
     def predict(self, block: BasicBlock, uarch: str) -> Prediction:
         analysed = self.preprocess(block)
-        throughput, schedule = self.simulate(analysed, uarch)
+        throughput = self.simulate(analysed, uarch)
         spec = self._residuals.get(uarch)
         if spec is not None:
             throughput *= residual_factor(spec, self.name, uarch, block)
-        return Prediction(self.name, uarch, round(throughput, 2),
-                          schedule=schedule)
+        return Prediction(self.name, uarch, round(throughput, 2))

@@ -3,14 +3,14 @@
 Three layers, all provably byte-identical to full simulation (the
 differential suite under ``tests/simcore`` holds them to it):
 
-* **Steady-state extrapolation** — the functional executor and the
-  timing model both detect when an unrolled run's per-iteration
-  signature (architectural state delta, memory footprint, cycle delta)
-  becomes periodic, then replicate/extrapolate the remaining
-  iterations analytically instead of simulating them
+* **Steady-state reuse** — the functional executor detects when an
+  unrolled run's per-iteration architectural state delta becomes
+  periodic and extrapolates the remaining iterations; the machine
+  replicates the cache annotations once the L1D reaches an all-hit
+  fixed point on a periodic trace, and takes the small unroll
+  factor's timing as a checkpoint of the large factor's schedule
   (:mod:`repro.simcore.fastrun`, :mod:`repro.simcore.periodicity`,
-  plus the steady-state hooks in ``uarch/machine.py`` and
-  ``uarch/scheduler.py``).
+  ``uarch/machine.py``).
 * **Decode/uop caching** — parsed instructions are interned
   (``isa/parser.py``), their hashes cached, and uop decomposition is
   resolved once per static slot per schedule call instead of once per

@@ -63,7 +63,8 @@ class RunResult:
     schedule: ScheduleResult
     base_cycles: int
     #: Informational fast-path accounting (``attempted``,
-    #: ``extrapolated``, per-layer flags); empty with the fast path
+    #: ``extrapolated`` — annotations replicated or result
+    #: checkpointed — and per-layer flags); empty with the fast path
     #: off.  Never feeds counters or acceptance.
     fastpath: Dict[str, int] = field(default_factory=dict)
     #: Synthesized result for ``checkpoint_unroll`` iterations,
@@ -117,31 +118,29 @@ class Machine:
 
     def _data_cache_annotations(self, trace: ExecutionTrace,
                                 memory: VirtualMemory,
-                                steady: Optional[Tuple[int, int]] = None
+                                periodicity: Optional[Tuple[int, int]]
                                 ) -> Tuple[List[InstrAnnotation], int,
-                                           int, Optional[Tuple[int, int]],
-                                           int, int]:
+                                           int, int, int]:
         """Run the L1D model over the trace (warm-up pass + timed pass).
 
         Returns per-dynamic-instruction annotations, the timed pass's
-        read/write miss counts, a steady witness for the *annotations*
-        (``(t, q)``: annotation of iteration ``i`` equals that of
-        ``i + q`` for ``i >= t``, or ``None``), how many tail
-        iterations were replicated rather than simulated, and the
-        iteration count at which the warm-up pass reached its all-hit
-        fixed point (``unroll`` when it never did).
+        read/write miss counts, how many tail iterations were
+        replicated rather than simulated, and the iteration count at
+        which the warm-up pass reached its all-hit fixed point
+        (``unroll`` when it never did).
 
-        ``steady`` is the trace's event-periodicity witness.  With it,
-        each pass stops once ``q`` consecutive steady iterations
-        produce no miss: the per-set LRU state is then at a fixed
-        point (an all-hit pass over a line set touches exactly those
-        lines, leaving last-access order — and therefore every future
-        decision — unchanged), so the remaining iterations are
-        verbatim copies.  Split-line penalties depend only on
-        addresses, which repeat by the witness, so replicated
-        annotations are exact.  Any miss resets the streak — a still
-        growing footprint (L1-overflow kernels) keeps missing and
-        never takes the shortcut.
+        ``periodicity`` is the trace's event-periodicity witness
+        ``(t, q)`` (iteration ``i >= t`` executes exactly like
+        ``i + q``), or ``None``.  With it, each pass stops once ``q``
+        consecutive steady iterations produce no miss: the per-set LRU
+        state is then at a fixed point (an all-hit pass over a line
+        set touches exactly those lines, leaving last-access order —
+        and therefore every future decision — unchanged), so the
+        remaining iterations are verbatim copies.  Split-line
+        penalties depend only on addresses, which repeat by the
+        witness, so replicated annotations are exact.  Any miss resets
+        the streak — a still growing footprint (L1-overflow kernels)
+        keeps missing and never takes the shortcut.
         """
         desc = self.desc
         l1d = CacheModel(desc.l1d)
@@ -155,7 +154,7 @@ class Machine:
             return hit
 
         events = trace.events
-        if steady is None:
+        if periodicity is None:
             line_size = desc.l1d.line_size
             miss_penalty = desc.l1_miss_penalty
             split_penalty = desc.split_line_penalty
@@ -187,10 +186,9 @@ class Machine:
                         ann.read_accesses.append((access.address,
                                                   access.width, penalty))
                 append_ann(ann)
-            return (annotations, read_misses, write_misses, None, 0,
-                    trace.unroll)
+            return annotations, read_misses, write_misses, 0, trace.unroll
 
-        t, q = steady
+        t, q = periodicity
         block_len = trace.block_len or 1
         unroll = trace.unroll
         line_size = desc.l1d.line_size
@@ -270,16 +268,7 @@ class Machine:
                 div_class=src.div_class, subnormal=src.subnormal,
                 read_accesses=src.read_accesses,
                 write_accesses=src.write_accesses))
-
-        if simulated < unroll:
-            ann_steady = (simulated - q, q)
-        elif streak >= q:
-            # No tail left to replicate, but the final iterations were
-            # all-hit and event-periodic — still a valid witness.
-            ann_steady = (unroll - streak, q)
-        else:
-            ann_steady = None
-        return (annotations, read_misses, write_misses, ann_steady,
+        return (annotations, read_misses, write_misses,
                 unroll - simulated, warmup_fixed)
 
     #: Fraction of capacity-exceeded code lines that still demand-miss
@@ -328,7 +317,6 @@ class Machine:
 
     def run(self, block: BasicBlock, unroll: int, trace: ExecutionTrace,
             memory: VirtualMemory, reps: int = 16,
-            keep_records: bool = False,
             checkpoint_unroll: Optional[int] = None) -> RunResult:
         """Time the unrolled block ``reps`` times (Fig. 2's measure loop).
 
@@ -360,30 +348,23 @@ class Machine:
         """
         if len(trace) != unroll * len(block):
             raise ValueError("trace does not match block × unroll")
-        fast = simcore.enabled() and not keep_records
-        steady = detect_event_periodicity(trace) if fast else None
-        (annotations, read_misses, write_misses, ann_steady,
-         replicated, warmup_fixed) = self._data_cache_annotations(
-             trace, memory, steady=steady)
+        fast = simcore.enabled()
+        periodicity = detect_event_periodicity(trace) if fast else None
+        (annotations, read_misses, write_misses, replicated,
+         warmup_fixed) = self._data_cache_annotations(
+             trace, memory, periodicity)
         l1i_misses = self._instruction_cache_annotations(
             block, unroll, annotations)
-        # An L1I overflow charges fetch stalls at a stride unrelated
-        # to the iteration period, so the schedule never settles into
-        # an iteration-periodic pattern — mandatory bail-out for
-        # large-footprint kernels.
-        sched_steady = ann_steady if (fast and not l1i_misses) else None
         checkpoint = None
-        if fast and checkpoint_unroll and steady is not None \
+        if fast and checkpoint_unroll and periodicity is not None \
                 and 0 < checkpoint_unroll < unroll and not l1i_misses:
-            q = steady[1]
+            q = periodicity[1]
             simulated = unroll - replicated
             if (unroll - checkpoint_unroll) % q == 0 \
                     and warmup_fixed <= checkpoint_unroll \
                     and simulated <= checkpoint_unroll:
                 checkpoint = checkpoint_unroll
         schedule = self.scheduler.schedule(block, unroll, annotations,
-                                           keep_records=keep_records,
-                                           steady=sched_steady,
                                            checkpoint=checkpoint)
         base = CounterSample(
             cycles=schedule.cycles,
@@ -397,16 +378,12 @@ class Machine:
         if fast:
             fastpath = {
                 "attempted": 1,
-                "trace_periodic": 1 if steady is not None else 0,
+                "trace_periodic": 1 if periodicity is not None else 0,
                 "ann_replicated": replicated,
-                "sched_extrapolated": schedule.extrapolated_iterations,
-                "extrapolated": 1 if (replicated or
-                                      schedule.extrapolated_iterations)
-                else 0,
+                "extrapolated": 1 if replicated else 0,
             }
         checkpoint_result = None
-        if checkpoint is not None \
-                and schedule.checkpoint_cycles is not None:
+        if checkpoint is not None:
             cp_cycles = schedule.checkpoint_cycles
             cp_base = CounterSample(
                 cycles=cp_cycles,
@@ -426,7 +403,7 @@ class Machine:
                 base_cycles=cp_cycles,
                 fastpath={"attempted": 1, "trace_periodic": 1,
                           "ann_replicated": cp_replicated,
-                          "sched_extrapolated": 0, "checkpointed": 1,
+                          "checkpointed": 1,
                           "extrapolated": 1})
         rng = self._rng(block, unroll)
         samples = [self._perturb(base, rng) for _ in range(reps)]
@@ -445,8 +422,7 @@ class Machine:
                 if fastpath["extrapolated"]:
                     telemetry.count("simcore.runs_extrapolated")
                     telemetry.count("simcore.iterations_skipped",
-                                    max(replicated,
-                                        schedule.extrapolated_iterations))
+                                    replicated)
                 else:
                     telemetry.count("simcore.runs_full")
             if checkpoint_result is not None:

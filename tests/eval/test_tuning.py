@@ -72,8 +72,8 @@ class TestTune:
         base = LlvmMcaModel()
         identity = TunedModel(base, {})
         for block in blocks[:3]:
-            assert identity.simulate(block, "skylake")[0] == \
-                base.simulate(block, "skylake")[0]
+            assert identity.simulate(block, "skylake") == \
+                base.simulate(block, "skylake")
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -28,7 +28,7 @@ class TestPrediction:
 
     def test_defaults(self):
         pred = Prediction("m", "haswell", 1.0)
-        assert pred.schedule is None and pred.error is None
+        assert pred.error is None
 
 
 class TestPredictSafe:

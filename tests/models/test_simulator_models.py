@@ -69,8 +69,8 @@ class TestCaseStudy3CrcScheduling:
         # Structurally (before each tool's table-residual), the fused
         # load-op scheduling costs llvm-mca ~5 cycles/iteration: the
         # paper reports 8.00 vs 13.04.
-        iaca_raw, _ = iaca.simulate(block, "haswell")
-        mca_raw, _ = mca.simulate(block, "haswell")
+        iaca_raw = iaca.simulate(block, "haswell")
+        mca_raw = mca.simulate(block, "haswell")
         assert iaca_raw == pytest.approx(8.0, abs=0.5)
         assert mca_raw == pytest.approx(13.0, abs=1.0)
         # The final predictions keep the ordering.

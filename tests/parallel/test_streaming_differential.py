@@ -21,7 +21,7 @@ from repro.corpus.dataset import build_application
 from repro.eval.validation import profile_corpus_detailed
 from repro.parallel import (ShardCache, profile_corpus_sharded,
                             profile_corpus_streamed, shard_corpus)
-from repro.resilience import RunJournal, journal_name
+from repro.resilience import RunJournal, chaos, journal_name
 from repro.runtime import plan
 
 UARCHES = ("ivybridge", "haswell", "skylake")
@@ -122,33 +122,55 @@ def test_journal_requires_identity(tmp_path):
                                 seed=5, cache=cache, journal=journal)
 
 
-@pytest.mark.parametrize("jobs", (1, 2))
-def test_cache_interop_with_batch(tmp_path, jobs):
-    """A materialised ``profile_corpus_sharded`` run warms the cache;
-    the generator-fed run over the same records resumes every shard
-    from it, and both match the serial reference."""
+@pytest.fixture
+def chaos_off(monkeypatch):
+    """Exact hit/resume counts hold only with a working store: injected
+    cache corruption (the CI chaos leg arms ``REPRO_CHAOS``) turns hits
+    into re-profiles by design, so count assertions run chaos-free."""
+    monkeypatch.delenv("REPRO_CHAOS", raising=False)
+    chaos.set_policy(None)
+    yield
+    chaos.set_policy(None)
+
+
+def _batch_then_streamed(tmp_path, jobs):
+    """A materialised ``profile_corpus_sharded`` run warms the cache,
+    then the generator-fed run goes over the same records."""
     records = _records(count=16)
     cache = ShardCache(str(tmp_path))
-    batch_stats = {}
+    batch_stats, stream_stats = {}, {}
     batch = profile_corpus_sharded(records, "haswell", seed=5,
                                    jobs=jobs, shard_size=4,
                                    cache=cache, stats=batch_stats)
-    assert batch_stats["cache_hits"] == 0
-    stream_stats = {}
     streamed = profile_corpus_streamed(iter(records), "haswell",
                                        seed=5, jobs=jobs, shard_size=4,
                                        cache=cache, stats=stream_stats)
-    assert stream_stats["cache_hits"] == 4
-    assert stream_stats["profiled"] == 0
+    return records, batch, streamed, batch_stats, stream_stats
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_cache_interop_with_batch(tmp_path, jobs):
+    """Both entry points over one cache match the serial reference
+    (under whatever chaos the environment arms)."""
+    records, batch, streamed, _, _ = _batch_then_streamed(tmp_path, jobs)
     serial = _payload(profile_corpus_detailed(records, "haswell",
                                               seed=5))
     assert _payload(batch) == serial
     assert _payload(streamed) == serial
 
 
-def test_streamed_run_is_rerunnable_from_journal(tmp_path):
-    """Two streamed runs sharing a cache+journal: the second loads
-    every shard back and reproduces the first's bytes."""
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_cache_interop_with_batch_hit_counts(tmp_path, jobs, chaos_off):
+    """The streamed run resumes every shard the batch run stored."""
+    _, _, _, batch_stats, stream_stats = \
+        _batch_then_streamed(tmp_path, jobs)
+    assert batch_stats["cache_hits"] == 0
+    assert stream_stats["cache_hits"] == 4
+    assert stream_stats["profiled"] == 0
+
+
+def _rerun_from_journal(tmp_path):
+    """Two streamed runs sharing a cache+journal."""
     records = _records(count=16)
 
     def run():
@@ -163,9 +185,19 @@ def test_streamed_run_is_rerunnable_from_journal(tmp_path):
                           "stream": "test-rerun"}, stats=stats)
         return _payload(profile), stats
 
-    first, first_stats = run()
-    second, second_stats = run()
+    return run(), run()
+
+
+def test_streamed_run_is_rerunnable_from_journal(tmp_path):
+    """The second run reproduces the first's bytes (under whatever
+    chaos the environment arms)."""
+    (first, _), (second, _) = _rerun_from_journal(tmp_path)
     assert first == second
+
+
+def test_streamed_rerun_resumes_every_shard(tmp_path, chaos_off):
+    """The second run loads every shard back and profiles nothing."""
+    (_, first_stats), (_, second_stats) = _rerun_from_journal(tmp_path)
     assert first_stats["resumed"] == 0
     assert second_stats["resumed"] == 4
     assert second_stats["profiled"] == 0

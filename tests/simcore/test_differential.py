@@ -1,13 +1,14 @@
 """Differential fast-path suite: optimisations invisible in the bytes.
 
-The simulation-core fast path (steady-state extrapolation, combined
-two-factor runs, decode/parse caching, corpus-level dedup) promises
-*bit-for-bit* identical output to full simulation.  This suite holds
-it to that: the same corpora are profiled with the fast path forced on
-and forced off — serially and through the 2-worker pool — on every
-microarchitecture, and the results are compared byte-for-byte after
-JSON serialisation: throughputs (values *and* insertion order), the
-accept/drop funnel, and per-unroll counter tuples.
+The simulation-core fast path (trace reuse, annotation replication,
+combined two-factor runs, decode/parse caching, corpus-level dedup)
+promises *bit-for-bit* identical output to full simulation.  This
+suite holds it to that: the same corpora are profiled with the fast
+path forced on and forced off — serially and through the 2-worker
+pool — on every microarchitecture, and the results are compared
+byte-for-byte after JSON serialisation: throughputs (values *and*
+insertion order), the accept/drop funnel, and per-unroll counter
+tuples.
 
 The informational ``fastpath_extrapolated`` tally is deliberately
 *excluded* from the comparison payload (it reports how often the fast
@@ -85,9 +86,8 @@ def test_paper_unroll_factors_identical_per_measurement():
     """At the paper's unroll 100/200 every per-unroll counter agrees.
 
     This exercises the layers the small-unroll tests barely touch:
-    annotation early-exit with remainder replay, scheduler fixed-point
-    extrapolation, and the combined two-factor run with its u1
-    checkpoint certification.
+    annotation early-exit with remainder replay and the combined
+    two-factor run with its u1 checkpoint certification.
     """
     import os
     path = os.path.join(os.path.dirname(__file__), "..", "data",

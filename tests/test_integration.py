@@ -1,18 +1,54 @@
 """End-to-end integration: the paper's headline claims on a small
 corpus (the full-size versions live in benchmarks/)."""
 
+import os
+
 import pytest
 
+from repro import envvars
 from repro.corpus import build_corpus
 from repro.eval.pipeline import Experiment
+from repro.parallel.shard_cache import store_dir
 from repro.profiler import (BasicBlockProfiler, config_for_stage,
                             TABLE1_STAGES, AblationStage)
 from repro.uarch import Machine
 
+#: The default ``REPRO_CACHE``: the repository's own, untracked store.
+REPO_CACHE = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), ".cache")
+
+
+def _tree_state(root):
+    """(path, size, mtime_ns) of every file under ``root``."""
+    state = set()
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            st = os.stat(path)
+            state.add((path, st.st_size, st.st_mtime_ns))
+    return state
+
 
 @pytest.fixture(scope="module")
-def experiment():
-    return Experiment(scale=0.0012, seed=5)
+def repo_cache_before():
+    return _tree_state(REPO_CACHE)
+
+
+@pytest.fixture(scope="module")
+def experiment(repo_cache_before, tmp_path_factory):
+    """Measures into a store of its own, never the repository's
+    ``.cache/`` (which would serve whatever an earlier checkout left)."""
+    cache = tmp_path_factory.mktemp("integration_cache")
+    with envvars.forced("REPRO_CACHE", str(cache)):
+        yield Experiment(scale=0.0012, seed=5)
+
+
+def test_experiment_leaves_repository_cache_untouched(experiment,
+                                                      repo_cache_before):
+    experiment.measured("haswell")
+    assert not store_dir("haswell", 5).startswith(REPO_CACHE + os.sep)
+    assert os.listdir(store_dir("haswell", 5))
+    assert _tree_state(REPO_CACHE) == repo_cache_before
 
 
 class TestTable1Shape:
